@@ -119,6 +119,11 @@ def aggregate(record, prompt):
                                degenerate=False)
 
 
+# Far above the gap between cumulative and slice sums (~L * 1e-16 per term)
+# and far below any real score difference that could change the threshold.
+_KAPUR_RESCORE_TOL = 1e-9
+
+
 def kapur_threshold(hist):
     """Entropy-maximizing split of a histogram into two classes.
 
@@ -128,30 +133,43 @@ def kapur_threshold(hist):
     with p[tau] == 0 splits identically to tau-1, so only taus ending on a
     non-empty bin are scanned; that makes the smallest-tau rule exact instead
     of hostage to floating-point summation order across tied plateaus.
-    Returns (tau_star, best_entropy_sum).
+
+    The scan is Kapur, Sahoo & Wong's cumulative form, in one O(L) pass:
+    with P and S the prefix (suffix) sums of p and p*log(p), a class scores
+    H = log(P) - S/P. Prefix sums come from cumsum and suffix sums from a
+    reversed cumsum, so an empty tail stays exactly zero and the validity
+    mask (p[tau] > 0, P0 > 0, P1 > 0) matches the per-tau slices. Cumulative
+    sums round differently from slice sums, so the few candidates within
+    _KAPUR_RESCORE_TOL of the maximum are scored again from slice sums and
+    the first maximum among them wins. That keeps tau and the returned score
+    (written to the heatmap JSON sidecars) bit-for-bit equal to a per-tau
+    slice-sum scan. Returns (tau_star, best_entropy_sum).
     """
     p = hist.bins
-    L = p.size
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+        cp0 = np.cumsum(p)[:-1]
+        cp1 = np.cumsum(p[::-1])[::-1][1:]
+        cs0 = np.cumsum(plogp)[:-1]
+        cs1 = np.cumsum(plogp[::-1])[::-1][1:]
+        valid = (p[:-1] > 0.0) & (cp0 > 0.0) & (cp1 > 0.0)
+        scores = np.where(valid,
+                          np.log(cp0) - cs0 / cp0 + np.log(cp1) - cs1 / cp1,
+                          -np.inf)
+    if not valid.any():
+        raise DegenerateHistogramError(
+            "all histogram mass in one bin; no valid threshold")
     best_tau = -1
     best = -np.inf
-    for tau in range(L - 1):
-        if p[tau] <= 0.0:
-            continue
+    for tau in np.flatnonzero(scores >= scores.max() - _KAPUR_RESCORE_TOL):
         p0 = p[:tau + 1].sum()
         p1 = p[tau + 1:].sum()
-        if p0 <= 0.0 or p1 <= 0.0:
-            continue
         h0 = np.log(p0) - plogp[:tau + 1].sum() / p0
         h1 = np.log(p1) - plogp[tau + 1:].sum() / p1
         score = h0 + h1
         if score > best:
             best = score
-            best_tau = tau
-    if best_tau < 0:
-        raise DegenerateHistogramError(
-            "all histogram mass in one bin; no valid threshold")
+            best_tau = int(tau)
     return best_tau, float(best)
 
 

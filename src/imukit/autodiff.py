@@ -18,7 +18,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeMismatchError", "NonFiniteError", "GradientError",
-    "add", "sub", "mul", "div", "matmul", "scale", "neg",
+    "add", "sub", "mul", "div", "matmul", "dense_silu", "scale", "neg",
     "relu", "silu", "softmax",
     "sum_", "mean_", "square", "sqrt", "reshape", "transpose", "concat",
     "getitem", "upsample2x", "avgpool2x", "frobenius_sq", "l2_sq_distance",
@@ -245,8 +245,7 @@ def _finish(op, out_arr, parents, vjp, check=True):
     if type(out_arr) is not np.ndarray or out_arr.dtype != _F32:
         out_arr = np.asarray(out_arr, dtype=_F32)
     out_arr = _c_contig(out_arr)
-    # a NaN/Inf anywhere poisons the sum; cheaper than isfinite().all()
-    if check and not np.isfinite(out_arr.sum(dtype=_F64)):
+    if check and not np.isfinite(out_arr).all():
         raise NonFiniteError(op)
     rg = any(p.requires_grad for p in parents)
     out = Tensor._wrap(out_arr, rg)
@@ -429,6 +428,44 @@ def matmul(a, b):
     return _finish("matmul", out, (a, b), vjp)
 
 
+def dense_silu(x, w, b, temb):
+    """silu(x @ w + b + temb) over the last axis of x, as one tape node.
+
+    Same float32 operations in the same order as the unfused
+    reshape/matmul/add/add/silu chain, so values and gradients match it bit
+    for bit; of the intermediates only the output and the sigmoid are kept
+    for backward. One finite check covers every step, because a NaN or Inf
+    in any of them reaches the output.
+    """
+    xd, wd, bd, td = x.data, w.data, b.data, temb.data
+    if (xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]
+            or bd.shape != wd.shape[1:] or td.shape != wd.shape[1:]):
+        raise ShapeMismatchError("dense_silu", xd.shape, wd.shape, bd.shape, td.shape)
+    out_shape = xd.shape[:-1] + wd.shape[1:]
+    flat = xd.reshape(-1, wd.shape[0])
+    y = np.matmul(flat, wd)
+    y += bd
+    y += td
+    sig = np.negative(y)
+    np.exp(sig, out=sig)
+    sig += _F32(1.0)
+    np.divide(_F32(1.0), sig, out=sig)
+    y *= sig
+    out = y.reshape(out_shape)
+    sig = sig.reshape(out_shape)
+
+    def vjp(g, needs):
+        gy = g * (sig + out * (_F32(1.0) - sig))
+        gt = _unbroadcast(gy, td.shape) if needs[3] else None
+        gy = gy.reshape(flat.shape[0], -1)
+        gx = np.matmul(gy, wd.T).reshape(xd.shape) if needs[0] else None
+        gw = np.matmul(flat.T, gy) if needs[1] else None
+        gb = _unbroadcast(gy, bd.shape) if needs[2] else None
+        return gx, gw, gb, gt
+
+    return _finish("dense_silu", out, (x, w, b, temb), vjp)
+
+
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -592,18 +629,26 @@ def getitem(x, key):
     return _finish("getitem", np.ascontiguousarray(out), (x,), vjp, check=False)
 
 
+def _repeat2x(a):
+    """Each (H, W) cell of an (..., H, W, C) array copied into a 2x2 block."""
+    lead = a.shape[:-3]
+    h, w, c = a.shape[-3:]
+    b = np.broadcast_to(a[..., :, None, :, None, :], lead + (h, 2, w, 2, c))
+    return b.reshape(lead + (2 * h, 2 * w, c))
+
+
 def upsample2x(x):
     """Nearest-neighbor 2x upsample of the (H, W) axes in an (..., H, W, C) tensor."""
     xd = x.data
     if xd.ndim < 3:
         raise ShapeMismatchError("upsample2x", xd.shape)
-    out = np.repeat(np.repeat(xd, 2, axis=-3), 2, axis=-2)
+    lead = xd.shape[:-3]
+    h, w, c = xd.shape[-3:]
+    out = _repeat2x(xd)
 
     def vjp(g, needs):
         if not needs[0]:
             return (None,)
-        lead = xd.shape[:-3]
-        h, w, c = xd.shape[-3:]
         gr = g.reshape(lead + (h, 2, w, 2, c))
         return (gr.sum(axis=(-4, -2), dtype=_F64).astype(_F32),)
 
@@ -623,8 +668,7 @@ def avgpool2x(x):
     def vjp(g, needs):
         if not needs[0]:
             return (None,)
-        gr = np.repeat(np.repeat(g, 2, axis=-3), 2, axis=-2)
-        return (gr * _F32(0.25),)
+        return (_repeat2x(g * _F32(0.25)),)
 
     return _finish("avgpool2x", out, (x,), vjp, check=False)
 

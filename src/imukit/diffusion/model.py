@@ -228,8 +228,8 @@ class DenoiserModel:
         return ad.add(x4, out)
 
     def _level(self, x4, t, prefix):
-        y = ad.add(self._dense(x4, prefix + "_w", prefix + "_b"), self._temb(t, prefix))
-        return ad.silu(y)
+        return ad.dense_silu(x4, self.params[prefix + "_w"], self.params[prefix + "_b"],
+                             self._temb(t, prefix))
 
     # -- forward --------------------------------------------------------------
 

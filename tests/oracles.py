@@ -97,6 +97,31 @@ def kapur_bruteforce(p):
     return best_tau, best
 
 
+def kapur_slice_scan(p):
+    """Per-tau scan scoring H = log P - S/P from slice sums of p and p*log p.
+
+    The score formula kapur_threshold reports; its returned score must equal
+    this scan's bit for bit, since it is written to the heatmap sidecars.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    plogp = p * np.log(np.where(p > 0.0, p, 1.0))
+    best_tau, best = -1, -np.inf
+    for tau in range(p.size - 1):
+        if p[tau] <= 0.0:
+            continue
+        p0, p1 = p[:tau + 1].sum(), p[tau + 1:].sum()
+        if p0 <= 0.0 or p1 <= 0.0:
+            continue
+        h0 = np.log(p0) - plogp[:tau + 1].sum() / p0
+        h1 = np.log(p1) - plogp[tau + 1:].sum() / p1
+        score = h0 + h1
+        if score > best:
+            best, best_tau = score, tau
+    if best_tau < 0:
+        raise ValueError("degenerate histogram")
+    return best_tau, float(best)
+
+
 def kapur_bruteforce_stacked(histograms):
     """Same scan vectorized across a stack of histograms (rows)."""
     h = np.asarray(histograms, dtype=np.float64)

@@ -259,3 +259,101 @@ def test_tensor_constructor_copies():
     t = Tensor(src)
     src[0] = 99.0
     assert t.data[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# dense_silu: fused reshape -> matmul -> +b -> +temb -> silu
+# ---------------------------------------------------------------------------
+
+def _dense_silu_operands(gen, lead, c_in, c_out):
+    return (gen.normal(size=lead + (c_in,)).astype(np.float32),
+            (gen.normal(size=(c_in, c_out)) / np.sqrt(c_in)).astype(np.float32),
+            (gen.normal(size=(c_out,)) * 0.1).astype(np.float32),
+            (gen.normal(size=(c_out,)) * 0.5).astype(np.float32))
+
+
+def _unfused_dense_silu(x, w, b, temb):
+    flat = ad.reshape(x, (-1, x.shape[-1]))
+    y = ad.add(ad.matmul(flat, w), b)
+    y = ad.reshape(y, x.shape[:-1] + (y.shape[-1],))
+    return ad.silu(ad.add(y, temb))
+
+
+def test_dense_silu_fd_all_parents():
+    x, w, b, temb = _dense_silu_operands(RNG, (2, 3, 3), 4, 5)
+    arrays = [x, w, b, temb]
+    f64 = [a.astype(np.float64) for a in arrays]
+
+    def ref(vals):
+        return REFERENCE_OPS["silu"](vals[0] @ vals[1] + vals[2] + vals[3])
+
+    for i in range(4):
+        def build(t, i=i):
+            args = [Tensor(a) for a in arrays]
+            args[i] = t
+            return ad.dense_silu(*args)
+
+        def ref_i(v, i=i):
+            vals = list(f64)
+            vals[i] = v
+            return ref(vals)
+
+        check_fd(build, ref_i, arrays[i], (2, 3, 3, 5))
+
+
+@pytest.mark.parametrize("lead,c_in,c_out", [
+    ((1, 32, 32), 9, 16),       # enc0 at B=1, as in the attack
+    ((64, 16, 16), 56, 24),     # dec1 at a training batch
+])
+def test_dense_silu_bitwise_matches_unfused_chain(lead, c_in, c_out):
+    gen = np.random.default_rng(77)
+    arrays = _dense_silu_operands(gen, lead, c_in, c_out)
+    gout = gen.normal(size=lead + (c_out,)).astype(np.float32)
+    results = []
+    for fn in (ad.dense_silu, _unfused_dense_silu):
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = fn(*ts)
+            loss = ad.sum_(ad.mul(out, Tensor(gout)))
+        grads = tape.backward(loss)
+        results.append((out.data, [grads[t] for t in ts]))
+    (fused, fused_grads), (chain, chain_grads) = results
+    assert fused.shape == lead + (c_out,)
+    assert np.array_equal(fused, chain)
+    for gf, gc in zip(fused_grads, chain_grads):
+        assert gf.dtype == gc.dtype == np.float32
+        assert np.array_equal(gf, gc)
+
+
+def test_dense_silu_input_only_gradient_and_node_count():
+    x, w, b, temb = _dense_silu_operands(RNG, (1, 4, 4), 3, 6)
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = ad.dense_silu(xt, Tensor(w), Tensor(b), Tensor(temb))
+        loss = ad.sum_(out)
+    assert len(tape.nodes) == 2
+    grads = tape.backward(loss)
+    assert set(grads) == {xt}
+    with Tape() as tape:
+        want = tape.backward(ad.sum_(_unfused_dense_silu(
+            xt, Tensor(w), Tensor(b), Tensor(temb))))[xt]
+    assert np.array_equal(grads[xt], want)
+
+
+def test_dense_silu_nan_input_names_the_op():
+    x, w, b, temb = _dense_silu_operands(RNG, (1, 2, 2), 3, 4)
+    xt = Tensor(x)
+    xt.data[0, 1, 0, 2] = np.nan
+    with pytest.raises(NonFiniteError) as err:
+        ad.dense_silu(xt, Tensor(w), Tensor(b), Tensor(temb))
+    assert err.value.op == "dense_silu"
+
+
+def test_dense_silu_shape_errors():
+    x, w, b, temb = _dense_silu_operands(RNG, (1, 2, 2), 3, 4)
+    with pytest.raises(ShapeMismatchError):
+        ad.dense_silu(Tensor(x), Tensor(w.T), Tensor(b), Tensor(temb))
+    with pytest.raises(ShapeMismatchError):
+        ad.dense_silu(Tensor(x), Tensor(w), Tensor(b[:3]), Tensor(temb))
+    with pytest.raises(ShapeMismatchError):
+        ad.dense_silu(Tensor(x), Tensor(w), Tensor(b), Tensor(temb[None, :]))
