@@ -128,11 +128,14 @@ def kapur_threshold(hist):
     """Entropy-maximizing split of a histogram into two classes.
 
     Scans every candidate tau splitting bins into [0, tau] and [tau+1, L-1];
-    candidates where either class has zero mass are skipped, zero-mass bins
-    contribute zero entropy, and ties break toward the smallest tau. A tau
-    with p[tau] == 0 splits identically to tau-1, so only taus ending on a
-    non-empty bin are scanned; that makes the smallest-tau rule exact instead
-    of hostage to floating-point summation order across tied plateaus.
+    candidates where either class has zero mass are skipped and zero-mass
+    bins contribute zero entropy. A tau with p[tau] == 0 splits identically
+    to tau-1, so only taus ending on a non-empty bin are scanned; a plateau
+    of empty bins therefore resolves to its smallest tau. The winner is the
+    first maximum of the float64 slice-sum score below. Distinct splits that
+    tie in exact arithmetic (a mirror-symmetric histogram, say) are decided
+    by how their scores round, not by position: nine bins of 1/9 at 0-3 and
+    5-9 of L=12 tie at tau=3 and tau=5, and tau=5 is returned.
 
     The scan is Kapur, Sahoo & Wong's cumulative form, in one O(L) pass:
     with P and S the prefix (suffix) sums of p and p*log(p), a class scores

@@ -18,7 +18,9 @@ import numpy as np
 
 from imukit.attack import AttackConfig, immunize, random_noise_delta, resolve_timesteps
 from imukit.attention_mask import aggregate, dump_debug, make_mask
-from imukit.diffusion.dataset import SPLIT_TEST, SPLIT_TRAIN, make_dataset, unseen_captions
+from imukit.diffusion.dataset import (
+    SPLIT_TEST, SPLIT_TRAIN, ToyDataset, make_dataset, unseen_captions,
+)
 from imukit.diffusion.io import load_model, save_model
 from imukit.diffusion.model import DenoiserModel, ModelConfig, predict_noise
 from imukit.diffusion.sampling import edit
@@ -26,7 +28,7 @@ from imukit.diffusion.schedule import build_schedule, forward_diffuse
 from imukit.diffusion.text import encode_caption
 from imukit.diffusion.training import TrainConfig, train
 from imukit.harness.artifacts import read_delta, read_json, write_delta, write_json
-from imukit.harness.config import METHOD_CODES, METHODS, config_hash
+from imukit.harness.config import METHOD_CODES, METHODS, ExperimentConfig, config_hash
 from imukit.harness.tables import (
     METRIC_NAMES, RESULT_COLUMNS, aggregate_rows, write_csv, write_results,
 )
@@ -225,17 +227,6 @@ def load_split(paths, split_name):
     return out
 
 
-class _ListDataset:
-    def __init__(self, items):
-        self.items = items
-
-    def __len__(self):
-        return len(self.items)
-
-    def __getitem__(self, i):
-        return self.items[i]
-
-
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -247,8 +238,8 @@ def cmd_train(cfg):
     _write_config(cfg, paths)
     paths.model_dir.mkdir(parents=True, exist_ok=True)
 
-    train_items = _ListDataset(load_split(paths, "train"))
-    test_items = _ListDataset(load_split(paths, "test"))
+    train_items = ToyDataset(cfg.seed, SPLIT_TRAIN, load_split(paths, "train"))
+    test_items = ToyDataset(cfg.seed, SPLIT_TEST, load_split(paths, "test"))
 
     spec = cfg.model
     sched = build_schedule(spec.T, spec.beta_min, spec.beta_max)
@@ -357,17 +348,18 @@ def _immunize_one(model, cfg, paths, method, idx, item):
 _POOL_STATE = {}
 
 
-def _pool_init(model_path):
-    _POOL_STATE["model"] = load_model(model_path)
+def _pool_init(cfg_dict):
+    """Load the config, model and test split once per worker process."""
+    cfg = ExperimentConfig.from_dict(cfg_dict)
+    paths = run_paths(cfg)
+    _POOL_STATE.update(cfg=cfg, paths=paths, model=load_model(paths.model_bin),
+                       items=load_split(paths, "test"))
 
 
 def _pool_immunize(args):
-    cfg_dict, method, idx = args
-    from imukit.harness.config import ExperimentConfig
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    paths = run_paths(cfg)
-    items = load_split(paths, "test")
-    _immunize_one(_POOL_STATE["model"], cfg, paths, method, idx, items[idx])
+    method, idx = args
+    s = _POOL_STATE
+    _immunize_one(s["model"], s["cfg"], s["paths"], method, idx, s["items"][idx])
     return (method, idx)
 
 
@@ -384,11 +376,9 @@ def cmd_immunize(cfg, methods=None):
     tasks = [(method, idx) for method in methods for idx in range(len(items))]
     t0 = time.perf_counter()
     if cfg.jobs > 1:
-        cfg_dict = cfg.to_dict()
         with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_pool_init,
-                                 initargs=(str(paths.model_bin),)) as pool:
-            list(pool.map(_pool_immunize,
-                          [(cfg_dict, m, i) for m, i in tasks], chunksize=1))
+                                 initargs=(cfg.to_dict(),)) as pool:
+            list(pool.map(_pool_immunize, tasks, chunksize=1))
     else:
         model = load_model(paths.model_bin)
         for method, idx in tasks:
@@ -416,33 +406,51 @@ def _edit_rng(cfg, idx, pidx):
         np.random.SeedSequence([cfg.seed, _ROLE_EDIT, idx, pidx]))
 
 
+def _edit_once(edits, model, cfg, idx, pidx, prompt, x):
+    """edit() under the (image, prompt) pair's seed, once per distinct input.
+
+    Every edit of one pair draws the same sampler noise, so equal input
+    bytes give equal outputs; edits maps the input bytes to the output for
+    one pair and is filled on first use.
+    """
+    x = np.asarray(x, dtype=np.float32)
+    key = (x.shape, x.tobytes())
+    if key not in edits:
+        edits[key] = edit(model, x, prompt, cfg.t_edit, _edit_rng(cfg, idx, pidx))
+    return edits[key]
+
+
 def _evaluate_rows(model, cfg, paths, items, methods, indices=None):
     """Defense + imperceptibility metric rows with shared edit randomness.
 
     The clean and every immunized edit of one (image, prompt) pair consume
     identical sampler noise, so row differences are attributable to the
-    perturbation alone.
+    perturbation alone. It also makes an immunized image equal to x0 (the
+    `none` method) edit to the clean edit, so each distinct input of a pair
+    is edited once, and each distinct image of one item gets one
+    percep_dist feature pass.
     """
     indices = list(range(len(items))) if indices is None else list(indices)
-    t_edit = cfg.t_edit
     rows = []
     for idx in indices:
         item = items[idx]
         x0 = item.image
+        features = {}
         imu_images = {}
         imperc = {}
         for method in methods:
             x_imu = read_ppm(paths.immunized_image(method, idx))
             imu_images[method] = x_imu
-            rep = full_report(x0, x_imu, model)
+            rep = full_report(x0, x_imu, model, features)
             imperc[method] = rep.to_dict()
         for pidx, caption in _prompts_for(cfg, item):
             prompt = model.encode_prompt(encode_caption(caption))
-            clean_out = edit(model, x0, prompt, t_edit, _edit_rng(cfg, idx, pidx))
+            edits = {}
+            clean_out = _edit_once(edits, model, cfg, idx, pidx, prompt, x0)
             for method in methods:
-                imu_out = edit(model, imu_images[method], prompt, t_edit,
-                               _edit_rng(cfg, idx, pidx))
-                defense = full_report(clean_out, imu_out, model)
+                imu_out = _edit_once(edits, model, cfg, idx, pidx, prompt,
+                                     imu_images[method])
+                defense = full_report(clean_out, imu_out, model, features)
                 row = {"image": idx, "prompt_idx": pidx, "prompt": caption,
                        "method": method}
                 for m in METRIC_NAMES:
@@ -453,12 +461,9 @@ def _evaluate_rows(model, cfg, paths, items, methods, indices=None):
 
 
 def _pool_evaluate(args):
-    cfg_dict, methods, idx = args
-    from imukit.harness.config import ExperimentConfig
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    paths = run_paths(cfg)
-    items = load_split(paths, "test")
-    return _evaluate_rows(_POOL_STATE["model"], cfg, paths, items,
+    methods, idx = args
+    s = _POOL_STATE
+    return _evaluate_rows(s["model"], s["cfg"], s["paths"], s["items"],
                           list(methods), indices=[idx])
 
 
@@ -502,12 +507,10 @@ def cmd_evaluate(cfg, methods=None):
 
     t0 = time.perf_counter()
     if cfg.jobs > 1:
-        cfg_dict = cfg.to_dict()
         with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_pool_init,
-                                 initargs=(str(paths.model_bin),)) as pool:
+                                 initargs=(cfg.to_dict(),)) as pool:
             chunks = pool.map(_pool_evaluate,
-                              [(cfg_dict, methods, i) for i in range(len(items))],
-                              chunksize=1)
+                              [(methods, i) for i in range(len(items))], chunksize=1)
             rows = [r for chunk in chunks for r in chunk]
         model = load_model(paths.model_bin)
     else:
@@ -576,6 +579,13 @@ def cmd_ablate(cfg):
 
     # bin-count sweep on a subset, timing the attack loop per iteration
     subset = list(range(min(cfg.ablate_images, len(items))))
+    # each subset image's clean edit and its percep_dist features do not
+    # depend on the bin count: compute them once, before the sweep
+    clean = {}
+    for idx in subset:
+        prompt = model.encode_prompt(encode_caption(items[idx].caption))
+        clean[idx] = (prompt, edit(model, items[idx].image, prompt, cfg.t_edit,
+                                   _edit_rng(cfg, idx, 0)), {})
     bin_rows = []
     for bins in cfg.ablate_bins:
         times = []
@@ -601,13 +611,10 @@ def cmd_ablate(cfg):
         drow = {"bins": bins}
         vals = {m: [] for m in METRIC_NAMES}
         for idx in subset:
-            item = items[idx]
-            prompt = model.encode_prompt(encode_caption(item.caption))
+            prompt, clean_out, features = clean[idx]
             x_imu = read_ppm(paths.ablate_dir / f"bins_{bins}_img_{idx:03d}.ppm")
-            clean_out = edit(model, item.image, prompt, cfg.t_edit,
-                             _edit_rng(cfg, idx, 0))
             imu_out = edit(model, x_imu, prompt, cfg.t_edit, _edit_rng(cfg, idx, 0))
-            rep = full_report(clean_out, imu_out, model)
+            rep = full_report(clean_out, imu_out, model, features)
             for m in METRIC_NAMES:
                 vals[m].append(rep.to_dict()[m])
         for m in METRIC_NAMES:

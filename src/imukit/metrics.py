@@ -144,29 +144,44 @@ def vifp(ref, dist, return_flag=False):
     return value
 
 
-def percep_dist(a, b, model):
+def percep_features(img, model):
+    """percep_dist's feature pass: unit-normalized bottleneck activations.
+
+    Runs the noise predictor at timestep 1 under an empty caption and
+    unit-normalizes each spatial position's channel vector (float64).
+    """
+    neutral = model.encode_prompt([PAD_ID] * MAX_TOKENS)
+    f = bottleneck_features(model, np.asarray(img, dtype=np.float32), 1, neutral)
+    f = f.astype(np.float64)
+    norm = np.sqrt((f * f).sum(axis=-1, keepdims=True))
+    return f / (norm + 1e-12)
+
+
+def percep_dist(a, b, model, features=None):
     """Feature-space distance from the model's deepest activations.
 
-    Runs the noise predictor at timestep 1 under an empty caption, unit-
-    normalizes each spatial position's channel vector, and averages the
-    squared differences. Zero for identical inputs, symmetric, and growing
-    with perceptual change.
+    Averages the squared differences of the two images' percep_features.
+    Zero for identical inputs, symmetric, and growing with perceptual change.
+    features, if given, is a dict from image bytes to feature arrays that
+    the caller keeps across calls: an image already in it skips the model
+    forward, and a new one is added. Equal bytes give equal features.
     """
     if model is None:
         raise ValueError("percep_dist: requires a trained model")
     a, b = _check_pair("percep_dist", a, b)
-    neutral = model.encode_prompt([PAD_ID] * MAX_TOKENS)
+    features = {} if features is None else features
 
     def feats(img):
-        f = bottleneck_features(model, img.astype(np.float32), 1, neutral)
-        f = f.astype(np.float64)
-        norm = np.sqrt((f * f).sum(axis=-1, keepdims=True))
-        return f / (norm + 1e-12)
+        key = (img.shape, img.tobytes())
+        if key not in features:
+            features[key] = percep_features(img, model)
+        return features[key]
 
     fa, fb = feats(a), feats(b)
     return float(np.mean(np.sum((fa - fb) ** 2, axis=-1)))
 
 
-def full_report(a, b, model):
+def full_report(a, b, model, features=None):
+    """All four metrics; features is percep_dist's optional feature dict."""
     return MetricsReport(psnr=psnr(a, b), ssim=ssim(a, b), vifp=vifp(a, b),
-                         percep_dist=percep_dist(a, b, model))
+                         percep_dist=percep_dist(a, b, model, features))

@@ -66,6 +66,20 @@ def ref_test_items(ref_cfg):
     return load_split(run_paths(ref_cfg), "test")
 
 
+@pytest.fixture()
+def forward_calls(monkeypatch):
+    """A list that grows by one at every DenoiserModel.forward_batch call."""
+    calls = []
+    original = DenoiserModel.forward_batch
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DenoiserModel, "forward_batch", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

@@ -151,6 +151,20 @@ def test_kapur_scan_property_matches_oracles(p):
         assert class_entropy_sum(hist.bins, tau) == pytest.approx(bf_score, abs=1e-12)
 
 
+def test_kapur_exact_tie_is_decided_by_rounding():
+    # tau=3 and tau=5 split the nine equal bins 4|5 and 5|4: an exact tie
+    p = np.zeros(12)
+    p[[0, 1, 2, 3, 5, 6, 7, 8, 9]] = 1.0 / 9.0
+    hist = KapurHistogram(p)
+    tau, score = kapur_threshold(hist)
+    assert tau in (3, 5)
+    assert class_entropy_sum(hist.bins, 3) == pytest.approx(
+        class_entropy_sum(hist.bins, 5), abs=1e-12)
+    want_tau, want_score = kapur_slice_scan(hist.bins)
+    assert tau == want_tau
+    assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+
+
 @given(L=st.integers(2, 512), data=st.data())
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 def test_kapur_scan_single_bin_raises(L, data):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,11 +9,16 @@ from conftest import tiny_experiment
 from imukit.harness.cli import main
 from imukit.harness.config import ConfigError, ExperimentConfig, config_hash
 from imukit.harness.pipeline import (
-    MissingArtifactError, cmd_ablate, cmd_evaluate, cmd_gen_data, cmd_immunize,
-    cmd_report, cmd_train, load_split, run_paths,
+    MissingArtifactError, _edit_rng, _evaluate_rows, _prompts_for, cmd_ablate,
+    cmd_evaluate, cmd_gen_data, cmd_immunize, cmd_report, cmd_train, load_split,
+    run_paths,
 )
 from imukit.harness.artifacts import read_delta, read_json
-from imukit.harness.tables import read_csv
+from imukit.harness.tables import METRIC_NAMES, read_csv
+from imukit.diffusion.io import load_model
+from imukit.diffusion.sampling import edit
+from imukit.diffusion.text import encode_caption
+from imukit.metrics import full_report
 from imukit.ppm import read_ppm
 
 
@@ -196,6 +202,40 @@ def test_evaluate_none_method_defense_is_cap(tiny_run):
         assert float(r["imperceptibility_psnr"]) == 100.0
 
 
+def test_evaluate_rows_edit_and_feature_pass_counts(tiny_run, forward_calls):
+    cfg = dataclasses.replace(tiny_run, edit_prompts="both")
+    paths = run_paths(tiny_run)
+    items = load_split(paths, "test")
+    model = load_model(paths.model_bin)
+    methods = list(cfg.methods)  # none, random-noise, danp
+    rows = _evaluate_rows(model, cfg, paths, items, methods)
+    n_prompts = 1 + cfg.n_unseen
+    # the `none` image equals x0, so each (image, prompt) pair has three
+    # distinct edit inputs; percep_dist sees x0, two immunized images and
+    # three distinct edits per prompt
+    distinct_edits = n_prompts * 3
+    distinct_percep = 3 + n_prompts * 3
+    assert len(forward_calls) == cfg.n_test * (cfg.t_edit * distinct_edits + distinct_percep)
+
+    # the shared passes give the rows that independent passes give
+    want = []
+    for idx, item in enumerate(items):
+        imu = {m: read_ppm(paths.immunized_image(m, idx)) for m in methods}
+        imperc = {m: full_report(item.image, imu[m], model).to_dict() for m in methods}
+        for pidx, caption in _prompts_for(cfg, item):
+            prompt = model.encode_prompt(encode_caption(caption))
+            clean = edit(model, item.image, prompt, cfg.t_edit, _edit_rng(cfg, idx, pidx))
+            for m in methods:
+                out = edit(model, imu[m], prompt, cfg.t_edit, _edit_rng(cfg, idx, pidx))
+                defense = full_report(clean, out, model).to_dict()
+                row = {"image": idx, "prompt_idx": pidx, "prompt": caption, "method": m}
+                for k in METRIC_NAMES:
+                    row[f"defense_{k}"] = defense[k]
+                    row[f"imperceptibility_{k}"] = imperc[m][k]
+                want.append(row)
+    assert rows == want
+
+
 def test_evaluate_imperceptibility_bound(tiny_run):
     rows = read_csv(run_paths(tiny_run).results_csv)
     for r in rows:
@@ -366,3 +406,17 @@ def test_jobs_parallel_immunize_matches_serial(tmp_path):
         for idx in range(2):
             assert (ps.delta_file(method, idx).read_bytes()
                     == pp.delta_file(method, idx).read_bytes())
+
+
+def test_jobs_parallel_evaluate_matches_serial(tmp_path):
+    cfg = tiny_experiment(tmp_path, n_test=2, methods=["none", "random-noise"],
+                          edit_prompts="both")
+    cmd_gen_data(cfg)
+    cmd_train(cfg)
+    cmd_immunize(cfg)
+    cmd_evaluate(cfg)
+    paths = run_paths(cfg)
+    serial = [paths.results_csv.read_bytes(), paths.results_json.read_bytes()]
+    cfg.jobs = 2  # jobs is not hashed: same run directory
+    cmd_evaluate(cfg)
+    assert [paths.results_csv.read_bytes(), paths.results_json.read_bytes()] == serial

@@ -106,6 +106,21 @@ def test_percep_dist_zero_and_symmetric(tiny_model, rng):
     assert abs(percep_dist(a, b, tiny_model) - percep_dist(b, a, tiny_model)) <= 1e-6
 
 
+def test_percep_dist_feature_dict_gives_same_value(tiny_model, rng, forward_calls):
+    a = rng.random((16, 16, 3)).astype(np.float32)
+    b = rng.random((16, 16, 3)).astype(np.float32)
+    want = percep_dist(a, b, tiny_model)
+    features = {}
+    assert percep_dist(a, b, tiny_model, features) == want
+    assert len(features) == 2
+    before = len(forward_calls)
+    # both images are in the dict now: same float, no model forward
+    assert percep_dist(a, b, tiny_model, features) == want
+    assert percep_dist(b, a, tiny_model, features) == percep_dist(b, a, tiny_model)
+    assert full_report(a, b, tiny_model, features).percep_dist == want
+    assert len(forward_calls) - before == 2  # the percep_dist(b, a) without the dict
+
+
 def test_percep_dist_requires_model(rng):
     a = rng.random((16, 16, 3))
     with pytest.raises(ValueError):
