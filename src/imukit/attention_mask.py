@@ -1,10 +1,10 @@
 """From captured cross-attention to a dynamic binary mask.
 
 Pipeline: average the content-token maps per block, nearest-upsample every
-block to the largest block resolution, average across blocks, min-max
-normalize to [0, 1] (all differentiable), then histogram the normalized map
-and threshold it where the summed foreground/background Shannon entropies
-peak. The mask itself is always treated as a constant downstream.
+block to the largest block resolution, average across blocks (all
+differentiable), min-max normalize to [0, 1], then histogram the normalized
+map and threshold it where the summed foreground/background Shannon
+entropies peak. The mask itself is always treated as a constant downstream.
 """
 
 from __future__ import annotations
@@ -77,8 +77,9 @@ def aggregate(record, prompt):
 
     Per block: mean over the prompt's content tokens, nearest-upsample to the
     largest block resolution; then mean over blocks and min-max normalize.
-    Differentiable end to end. A constant block average yields an all-zero
-    map with the degenerate flag set instead of dividing by zero.
+    The block average (pre_norm) is differentiable; the normalized map is a
+    constant, since only the mask reads it. A constant block average yields
+    an all-zero map with the degenerate flag set instead of dividing by zero.
     """
     if not record.per_block:
         raise ValueError("aggregate: attention record is empty")
@@ -111,9 +112,8 @@ def aggregate(record, prompt):
         return AggregatedAttention(map=zero, pre_norm=pre,
                                    token_indices=tuple(int(i) for i in token_idx),
                                    degenerate=True)
-    mn = ad.reduce_min(pre)
-    mx = ad.reduce_max(pre)
-    norm = ad.div(ad.sub(pre, mn), ad.sub(mx, mn))
+    lo32, hi32 = pre.data.min(), pre.data.max()
+    norm = ad.constant((pre.data - lo32) / (hi32 - lo32))
     return AggregatedAttention(map=norm, pre_norm=pre,
                                token_indices=tuple(int(i) for i in token_idx),
                                degenerate=False)

@@ -18,11 +18,11 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeMismatchError", "NonFiniteError", "GradientError",
-    "add", "sub", "mul", "div", "matmul", "dense_silu", "scale", "neg",
-    "relu", "silu", "softmax",
+    "add", "sub", "mul", "div", "matmul", "dense_silu", "attention_probs",
+    "attend", "scale", "neg", "relu", "silu", "softmax",
     "sum_", "mean_", "square", "sqrt", "reshape", "transpose", "concat",
-    "getitem", "upsample2x", "avgpool2x", "frobenius_sq", "l2_sq_distance",
-    "reduce_min", "reduce_max", "stop_gradient", "constant",
+    "getitem", "upsample2x", "upsample_concat", "avgpool2x", "frobenius_sq",
+    "l2_sq_distance", "reduce_min", "reduce_max", "stop_gradient", "constant",
 ]
 
 _F32 = np.float32
@@ -428,24 +428,28 @@ def matmul(a, b):
     return _finish("matmul", out, (a, b), vjp)
 
 
-def dense_silu(x, w, b, temb):
+def dense_silu(x, w, b, temb=None):
     """silu(x @ w + b + temb) over the last axis of x, as one tape node.
 
-    Same float32 operations in the same order as the unfused
-    reshape/matmul/add/add/silu chain, so values and gradients match it bit
-    for bit; of the intermediates only the output and the sigmoid are kept
-    for backward. One finite check covers every step, because a NaN or Inf
-    in any of them reaches the output.
+    Without temb it is silu(x @ w + b). Same float32 operations in the same
+    order as the unfused reshape/matmul/add/add/silu chain, so values and
+    gradients match it bit for bit; of the intermediates only the output and
+    the sigmoid are kept for backward. One finite check covers every step,
+    because a NaN or Inf in any of them reaches the output.
     """
-    xd, wd, bd, td = x.data, w.data, b.data, temb.data
+    xd, wd, bd = x.data, w.data, b.data
+    td = None if temb is None else temb.data
     if (xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]
-            or bd.shape != wd.shape[1:] or td.shape != wd.shape[1:]):
-        raise ShapeMismatchError("dense_silu", xd.shape, wd.shape, bd.shape, td.shape)
+            or bd.shape != wd.shape[1:]
+            or (td is not None and td.shape != wd.shape[1:])):
+        raise ShapeMismatchError("dense_silu", xd.shape, wd.shape, bd.shape,
+                                 () if td is None else td.shape)
     out_shape = xd.shape[:-1] + wd.shape[1:]
     flat = xd.reshape(-1, wd.shape[0])
     y = np.matmul(flat, wd)
     y += bd
-    y += td
+    if td is not None:
+        y += td
     sig = np.negative(y)
     np.exp(sig, out=sig)
     sig += _F32(1.0)
@@ -456,14 +460,111 @@ def dense_silu(x, w, b, temb):
 
     def vjp(g, needs):
         gy = g * (sig + out * (_F32(1.0) - sig))
-        gt = _unbroadcast(gy, td.shape) if needs[3] else None
         gy = gy.reshape(flat.shape[0], -1)
         gx = np.matmul(gy, wd.T).reshape(xd.shape) if needs[0] else None
         gw = np.matmul(flat.T, gy) if needs[1] else None
-        gb = _unbroadcast(gy, bd.shape) if needs[2] else None
-        return gx, gw, gb, gt
+        # b and temb are both added to every row, so they share one column sum
+        col = _unbroadcast(gy, bd.shape) if any(needs[2:]) else None
+        return (gx, gw) + tuple(col if n else None for n in needs[2:])
 
-    return _finish("dense_silu", out, (x, w, b, temb), vjp)
+    parents = (x, w, b) if temb is None else (x, w, b, temb)
+    return _finish("dense_silu", out, parents, vjp)
+
+
+def attention_probs(x, pm, wq, wk, scale):
+    """softmax((x @ wq) (pm @ wk)^T * scale) over the last axis, as one tape node.
+
+    x is (B, ..., C) with the query positions between the batch and channel
+    axes, pm is (B, S, D); the result is (B, N, S) for N query positions.
+    Same float32 operations in the same order as the
+    reshape/matmul/transpose/matmul/scale/softmax chain, including the
+    contiguous copy of k^T, so values and gradients match it bit for bit.
+    The finite check runs on the scaled scores: a NaN or Inf in q or k
+    reaches them, and the softmax of finite scores is finite.
+    """
+    xd, pd, qd, kd = x.data, pm.data, wq.data, wk.data
+    if (xd.ndim < 3 or pd.ndim != 3 or qd.ndim != 2 or kd.ndim != 2
+            or xd.shape[0] != pd.shape[0] or xd.shape[-1] != qd.shape[0]
+            or pd.shape[-1] != kd.shape[0] or qd.shape[1] != kd.shape[1]):
+        raise ShapeMismatchError("attention_probs", xd.shape, pd.shape,
+                                 qd.shape, kd.shape)
+    bsz, s, d = pd.shape
+    flat = xd.reshape(bsz, -1, xd.shape[-1])
+    q = np.matmul(flat, qd)
+    pm2 = pd.reshape(bsz * s, d)
+    k2 = np.matmul(pm2, kd)
+    kt = np.ascontiguousarray(np.transpose(k2.reshape(bsz, s, -1), (0, 2, 1)))
+    s32 = _F32(scale)
+    y = np.matmul(q, kt)
+    y *= s32
+    if not np.isfinite(y).all():
+        raise NonFiniteError("attention_probs")
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True, dtype=_F64).astype(_F32)
+
+    def vjp(g, needs):
+        gs = g - (g * y).sum(axis=-1, keepdims=True, dtype=_F64).astype(_F32)
+        gs *= y
+        gs *= s32
+        gx = gp = gq = gk = None
+        if needs[0] or needs[2]:
+            gqv = np.matmul(gs, kt.swapaxes(-1, -2))
+            if needs[0]:
+                gx = np.matmul(gqv, qd.swapaxes(-1, -2)).reshape(xd.shape)
+            if needs[2]:
+                gq = np.matmul(flat.reshape(-1, qd.shape[0]).T,
+                               gqv.reshape(-1, qd.shape[1]))
+        if needs[1] or needs[3]:
+            # transposed back from (q^T @ gs), as the transpose node did
+            gk2 = np.transpose(np.matmul(q.swapaxes(-1, -2), gs),
+                               (0, 2, 1)).reshape(k2.shape)
+            if needs[1]:
+                gp = np.matmul(gk2, kd.swapaxes(-1, -2)).reshape(pd.shape)
+            if needs[3]:
+                gk = np.matmul(pm2.swapaxes(-1, -2), gk2)
+        return gx, gp, gq, gk
+
+    return _finish("attention_probs", y, (x, pm, wq, wk), vjp, check=False)
+
+
+def attend(x, attn, pm, wv):
+    """x + attn @ (pm @ wv), reshaped to x's shape, as one tape node.
+
+    The residual half of a cross-attention block: attn is the (B, N, S)
+    output of attention_probs for x, pm is (B, S, D) and wv maps D to x's
+    channel count. Same float32 operations in the same order as the
+    reshape/matmul/matmul/reshape/add chain, so values and gradients match
+    it bit for bit.
+    """
+    xd, atd, pd, vd = x.data, attn.data, pm.data, wv.data
+    shapes = (xd.shape, atd.shape, pd.shape, vd.shape)
+    if xd.ndim < 3 or pd.ndim != 3 or vd.ndim != 2:
+        raise ShapeMismatchError("attend", *shapes)
+    bsz, s, d = pd.shape
+    n = int(np.prod(xd.shape[1:-1]))
+    if (xd.shape[0] != bsz or atd.shape != (bsz, n, s)
+            or vd.shape != (d, xd.shape[-1])):
+        raise ShapeMismatchError("attend", *shapes)
+    pm2 = pd.reshape(bsz * s, d)
+    v2 = np.matmul(pm2, vd)
+    v = v2.reshape(bsz, s, -1)
+    av = np.matmul(atd, v)
+    out = xd + av.reshape(xd.shape)
+
+    def vjp(g, needs):
+        gav = g.reshape(av.shape)
+        ga = np.matmul(gav, v.swapaxes(-1, -2)) if needs[1] else None
+        gp = gw = None
+        if needs[2] or needs[3]:
+            gv2 = np.matmul(atd.swapaxes(-1, -2), gav).reshape(v2.shape)
+            if needs[2]:
+                gp = np.matmul(gv2, vd.swapaxes(-1, -2)).reshape(pd.shape)
+            if needs[3]:
+                gw = np.matmul(pm2.swapaxes(-1, -2), gv2)
+        return (g if needs[0] else None), ga, gp, gw
+
+    return _finish("attend", out, (x, attn, pm, wv), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -637,22 +738,53 @@ def _repeat2x(a):
     return b.reshape(lead + (2 * h, 2 * w, c))
 
 
+def _sum2x2(a):
+    """float64 sums of the 2x2 (H, W) blocks of an (..., 2H, 2W, C) array.
+
+    Four strided adds into one buffer; the same sums as a float64 .sum over
+    the two block axes, without its reduction loop.
+    """
+    acc = a[..., 0::2, 0::2, :].astype(_F64)
+    acc += a[..., 0::2, 1::2, :]
+    acc += a[..., 1::2, 0::2, :]
+    acc += a[..., 1::2, 1::2, :]
+    return acc
+
+
 def upsample2x(x):
     """Nearest-neighbor 2x upsample of the (H, W) axes in an (..., H, W, C) tensor."""
     xd = x.data
     if xd.ndim < 3:
         raise ShapeMismatchError("upsample2x", xd.shape)
-    lead = xd.shape[:-3]
-    h, w, c = xd.shape[-3:]
     out = _repeat2x(xd)
 
     def vjp(g, needs):
-        if not needs[0]:
-            return (None,)
-        gr = g.reshape(lead + (h, 2, w, 2, c))
-        return (gr.sum(axis=(-4, -2), dtype=_F64).astype(_F32),)
+        return (_sum2x2(g).astype(_F32) if needs[0] else None,)
 
     return _finish("upsample2x", out, (x,), vjp, check=False)
+
+
+def upsample_concat(low, skip):
+    """concat([upsample2x(low), skip], axis=-1) as one tape node.
+
+    Both parts are written straight into one output buffer; low is
+    (..., H, W, C1) and skip (..., 2H, 2W, C2).
+    """
+    ld, sd = low.data, skip.data
+    if (ld.ndim < 3 or sd.ndim != ld.ndim or sd.shape[:-3] != ld.shape[:-3]
+            or sd.shape[-3:-1] != (2 * ld.shape[-3], 2 * ld.shape[-2])):
+        raise ShapeMismatchError("upsample_concat", ld.shape, sd.shape)
+    h, w, cl = ld.shape[-3:]
+    out = np.empty(sd.shape[:-1] + (cl + sd.shape[-1],), dtype=_F32)
+    blocks = out.reshape(ld.shape[:-3] + (h, 2, w, 2, out.shape[-1]))
+    blocks[..., :cl] = ld[..., :, None, :, None, :]
+    out[..., cl:] = sd
+
+    def vjp(g, needs):
+        return (_sum2x2(g[..., :cl]).astype(_F32) if needs[0] else None,
+                g[..., cl:] if needs[1] else None)
+
+    return _finish("upsample_concat", out, (low, skip), vjp, check=False)
 
 
 def avgpool2x(x):
@@ -660,10 +792,9 @@ def avgpool2x(x):
     xd = x.data
     if xd.ndim < 3 or xd.shape[-3] % 2 or xd.shape[-2] % 2:
         raise ShapeMismatchError("avgpool2x", xd.shape)
-    lead = xd.shape[:-3]
-    h, w, c = xd.shape[-3:]
-    out = (xd.reshape(lead + (h // 2, 2, w // 2, 2, c))
-             .mean(axis=(-4, -2), dtype=_F64).astype(_F32))
+    acc = _sum2x2(xd)
+    acc /= 4
+    out = acc.astype(_F32)
 
     def vjp(g, needs):
         if not needs[0]:

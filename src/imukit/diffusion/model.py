@@ -208,24 +208,16 @@ class DenoiserModel:
         return ad.reshape(y, (bsz, h, wd, y.shape[-1]))
 
     def _cross_attention(self, x4, pm, prefix, record):
-        bsz, h, w, c = x4.shape
-        s = pm.shape[1]
-        flat = ad.reshape(x4, (bsz, h * w, c))
-        q = ad.matmul(flat, self.params[prefix + "_q"])
-        k2 = ad.matmul(ad.reshape(pm, (bsz * s, pm.shape[2])), self.params[prefix + "_k"])
-        v2 = ad.matmul(ad.reshape(pm, (bsz * s, pm.shape[2])), self.params[prefix + "_v"])
-        k = ad.reshape(k2, (bsz, s, k2.shape[-1]))
-        v = ad.reshape(v2, (bsz, s, v2.shape[-1]))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))),
-                          1.0 / np.sqrt(self.config.d_k))
-        attn = ad.softmax(scores, axis=-1)          # (B, HW, S)
+        attn = ad.attention_probs(x4, pm, self.params[prefix + "_q"],
+                                  self.params[prefix + "_k"],
+                                  1.0 / np.sqrt(self.config.d_k))   # (B, HW, S)
         if record is not None:
+            bsz, h, w, _ = x4.shape
             if bsz != 1:
                 raise ValueError("attention capture requires a single-image batch")
-            record.per_block.append(ad.reshape(attn, (h, w, s)))
+            record.per_block.append(ad.reshape(attn, (h, w, attn.shape[-1])))
             record.resolutions.append((h, w))
-        out = ad.reshape(ad.matmul(attn, v), (bsz, h, w, c))
-        return ad.add(x4, out)
+        return ad.attend(x4, attn, pm, self.params[prefix + "_v"])
 
     def _level(self, x4, t, prefix):
         return ad.dense_silu(x4, self.params[prefix + "_w"], self.params[prefix + "_b"],
@@ -257,15 +249,15 @@ class DenoiserModel:
         xb = ad.concat([xb, pos], axis=-1)
 
         h0 = self._level(xb, t, "enc0")
-        h0 = ad.silu(self._dense(h0, "enc0b_w", "enc0b_b"))
+        h0 = ad.dense_silu(h0, self.params["enc0b_w"], self.params["enc0b_b"])
         h1 = self._level(ad.avgpool2x(h0), t, "enc1")
         h1 = self._cross_attention(h1, pm, "attn1", record)
         h2 = self._level(ad.avgpool2x(h1), t, "enc2")
         h2 = self._cross_attention(h2, pm, "attn2", record)
         bottleneck = h2
 
-        d1 = self._level(ad.concat([ad.upsample2x(h2), h1], axis=-1), t, "dec1")
-        d0 = self._level(ad.concat([ad.upsample2x(d1), h0], axis=-1), t, "dec0")
+        d1 = self._level(ad.upsample_concat(h2, h1), t, "dec1")
+        d0 = self._level(ad.upsample_concat(d1, h0), t, "dec0")
         eps = self._dense(d0, "head_w", "head_b")
 
         if return_features:

@@ -155,6 +155,9 @@ def train(model, dataset, cfg, heldout=None):
         result.final_loss = loss_val
 
     if heldout is not None:
-        result.final_heldout = evaluate_loss(model, heldout, cfg)
+        # the curve scores the model after the last step whenever steps > 0
+        last = result.curve[-1] if result.curve else None
+        result.final_heldout = (last[2] if last and last[0] == cfg.steps
+                                else evaluate_loss(model, heldout, cfg))
         result.passed_heldout = result.final_heldout < cfg.heldout_threshold
     return result

@@ -420,7 +420,7 @@ def _edit_once(edits, model, cfg, idx, pidx, prompt, x):
     return edits[key]
 
 
-def _evaluate_rows(model, cfg, paths, items, methods, indices=None):
+def _evaluate_rows(model, cfg, paths, items, methods, indices=None, keep=None):
     """Defense + imperceptibility metric rows with shared edit randomness.
 
     The clean and every immunized edit of one (image, prompt) pair consume
@@ -429,6 +429,10 @@ def _evaluate_rows(model, cfg, paths, items, methods, indices=None):
     `none` method) edit to the clean edit, so each distinct input of a pair
     is edited once, and each distinct image of one item gets one
     percep_dist feature pass.
+
+    keep, when given, is a dict keyed by item index; each of its entries is
+    set to (feature dict, {prompt index: (prompt, clean edit)}) for callers
+    that edit the same pairs again.
     """
     indices = list(range(len(items))) if indices is None else list(indices)
     rows = []
@@ -436,6 +440,7 @@ def _evaluate_rows(model, cfg, paths, items, methods, indices=None):
         item = items[idx]
         x0 = item.image
         features = {}
+        clean_edits = {}
         imu_images = {}
         imperc = {}
         for method in methods:
@@ -447,6 +452,7 @@ def _evaluate_rows(model, cfg, paths, items, methods, indices=None):
             prompt = model.encode_prompt(encode_caption(caption))
             edits = {}
             clean_out = _edit_once(edits, model, cfg, idx, pidx, prompt, x0)
+            clean_edits[pidx] = (prompt, clean_out)
             for method in methods:
                 imu_out = _edit_once(edits, model, cfg, idx, pidx, prompt,
                                      imu_images[method])
@@ -457,6 +463,8 @@ def _evaluate_rows(model, cfg, paths, items, methods, indices=None):
                     row[f"defense_{m}"] = defense.to_dict()[m]
                     row[f"imperceptibility_{m}"] = imperc[method][m]
                 rows.append(row)
+        if keep is not None and idx in keep:
+            keep[idx] = (features, clean_edits)
     return rows
 
 
@@ -556,7 +564,12 @@ def cmd_ablate(cfg):
     if missing_methods:
         cmd_immunize(cfg, methods=missing_methods)
 
-    rows = _evaluate_rows(model, cfg, paths, items, list(ABLATION_METHODS))
+    # the bin sweep edits its subset under the original prompt with the
+    # component rows' seeds; keep those rows' clean edits and features
+    subset = list(range(min(cfg.ablate_images, len(items))))
+    shared = dict.fromkeys(subset)
+    rows = _evaluate_rows(model, cfg, paths, items, list(ABLATION_METHODS),
+                          keep=shared)
     agg = aggregate_rows(rows, ABLATION_METHODS)
     comp_rows = []
     for method in ABLATION_METHODS:
@@ -577,15 +590,17 @@ def cmd_ablate(cfg):
         "aggregates": agg, "contracts": contracts,
     })
 
-    # bin-count sweep on a subset, timing the attack loop per iteration
-    subset = list(range(min(cfg.ablate_images, len(items))))
-    # each subset image's clean edit and its percep_dist features do not
-    # depend on the bin count: compute them once, before the sweep
+    # bin-count sweep on the subset, timing the attack loop per iteration;
+    # the clean edits exist already unless edit_prompts leaves out the
+    # original caption
     clean = {}
     for idx in subset:
-        prompt = model.encode_prompt(encode_caption(items[idx].caption))
-        clean[idx] = (prompt, edit(model, items[idx].image, prompt, cfg.t_edit,
-                                   _edit_rng(cfg, idx, 0)), {})
+        features, clean_edits = shared[idx]
+        if 0 not in clean_edits:
+            prompt = model.encode_prompt(encode_caption(items[idx].caption))
+            clean_edits[0] = (prompt, edit(model, items[idx].image, prompt,
+                                           cfg.t_edit, _edit_rng(cfg, idx, 0)))
+        clean[idx] = clean_edits[0] + (features,)
     bin_rows = []
     for bins in cfg.ablate_bins:
         times = []

@@ -167,6 +167,22 @@ def test_total_loss_daa_only_when_lambda_nba_zero(rng):
     assert comps["total"] == pytest.approx(comps["daa"], rel=1e-6)
 
 
+def test_total_loss_tape_node_count_on_default_model(rng):
+    """One attack step on the default model records 46 nodes, 23 of them in
+    the perturbed branch's forward; the clean branch records none."""
+    model = DenoiserModel.init(ModelConfig(), seed=0, schedule=build_schedule(50))
+    model.set_trainable(False)
+    prompt = model.encode_prompt(IDS)
+    x0 = grid_image(rng, size=32)
+    eps = rng.standard_normal(x0.shape).astype(np.float32)
+    with Tape() as tape:
+        delta = Tensor(np.full(x0.shape, 0.01, dtype=np.float32), requires_grad=True)
+        loss, comps = total_loss(x0, delta, model, prompt, 25, eps)
+    assert not comps["degenerate"]
+    assert len(tape.nodes) == 46
+    assert tape.backward(loss)[delta].shape == x0.shape
+
+
 def test_total_loss_gradient_matches_float64_fd(rng):
     """Attack-objective gradient w.r.t. delta vs float64 finite differences
     on an 8x8x3 instance with a fixed mask (the objective holds the mask

@@ -7,6 +7,7 @@ from imukit.attention_mask import (
     aggregate, dump_debug, fixed_threshold_mask, histogram_of, kapur_threshold,
     make_mask,
 )
+from imukit import autodiff as ad
 from imukit.autodiff import Tape, Tensor
 from imukit.diffusion.model import AttentionRecord, PromptEmbedding
 from oracles import (
@@ -226,23 +227,28 @@ def test_aggregate_requires_content_tokens(rng):
 
 
 def test_aggregate_is_differentiable(rng):
+    """pre_norm, the map the DAA loss uses, carries the gradient; the
+    normalized map is a constant equal to the differentiable min-max chain."""
     raw = rng.random((4, 4, 2)).astype(np.float32)
     prompt = fake_prompt([True, True])
     x = Tensor(raw, requires_grad=True)
     with Tape() as tape:
         rec = AttentionRecord(per_block=[x], resolutions=[(4, 4)])
         agg = aggregate(rec, prompt)
-        from imukit.autodiff import frobenius_sq
-        y = frobenius_sq(agg.map)
+        y = ad.frobenius_sq(agg.pre_norm)
     got = tape.backward(y)[x]
 
     def f(v):
-        sel = v.mean(axis=2)
-        norm = (sel - sel.min()) / (sel.max() - sel.min())
-        return float((norm ** 2).sum())
+        return float((v.mean(axis=2) ** 2).sum())
 
     want = numeric_grad(f, raw.astype(np.float64))
     assert fd_agreement(got, want) >= 0.99
+
+    pre = agg.pre_norm
+    lo, hi = ad.reduce_min(pre), ad.reduce_max(pre)
+    chain = ad.div(ad.sub(pre, lo), ad.sub(hi, lo))
+    assert not agg.map.requires_grad
+    assert np.array_equal(agg.map.data, chain.data)
 
 
 # ---------------------------------------------------------------------------

@@ -272,33 +272,40 @@ def _dense_silu_operands(gen, lead, c_in, c_out):
             (gen.normal(size=(c_out,)) * 0.5).astype(np.float32))
 
 
-def _unfused_dense_silu(x, w, b, temb):
+def _unfused_dense(x, w, b):
     flat = ad.reshape(x, (-1, x.shape[-1]))
     y = ad.add(ad.matmul(flat, w), b)
-    y = ad.reshape(y, x.shape[:-1] + (y.shape[-1],))
-    return ad.silu(ad.add(y, temb))
+    return ad.reshape(y, x.shape[:-1] + (y.shape[-1],))
 
 
-def test_dense_silu_fd_all_parents():
-    x, w, b, temb = _dense_silu_operands(RNG, (2, 3, 3), 4, 5)
-    arrays = [x, w, b, temb]
+def _unfused_dense_silu(x, w, b, temb):
+    return ad.silu(ad.add(_unfused_dense(x, w, b), temb))
+
+
+def _fd_each_parent(op, ref, arrays, out_shape, extra=()):
+    """check_fd of op against its float64 ref, for one parent at a time."""
     f64 = [a.astype(np.float64) for a in arrays]
-
-    def ref(vals):
-        return REFERENCE_OPS["silu"](vals[0] @ vals[1] + vals[2] + vals[3])
-
-    for i in range(4):
+    for i in range(len(arrays)):
         def build(t, i=i):
             args = [Tensor(a) for a in arrays]
             args[i] = t
-            return ad.dense_silu(*args)
+            return op(*args, *extra)
 
         def ref_i(v, i=i):
             vals = list(f64)
             vals[i] = v
-            return ref(vals)
+            return ref(*vals, *extra)
 
-        check_fd(build, ref_i, arrays[i], (2, 3, 3, 5))
+        check_fd(build, ref_i, arrays[i], out_shape)
+
+
+def test_dense_silu_fd_all_parents():
+    x, w, b, temb = _dense_silu_operands(RNG, (2, 3, 3), 4, 5)
+
+    def ref(xv, wv, bv, tv):
+        return REFERENCE_OPS["silu"](xv @ wv + bv + tv)
+
+    _fd_each_parent(ad.dense_silu, ref, [x, w, b, temb], (2, 3, 3, 5))
 
 
 @pytest.mark.parametrize("lead,c_in,c_out", [
@@ -357,3 +364,177 @@ def test_dense_silu_shape_errors():
         ad.dense_silu(Tensor(x), Tensor(w), Tensor(b[:3]), Tensor(temb))
     with pytest.raises(ShapeMismatchError):
         ad.dense_silu(Tensor(x), Tensor(w), Tensor(b), Tensor(temb[None, :]))
+
+
+def test_dense_silu_without_temb_matches_unfused_chain():
+    gen = np.random.default_rng(78)
+    x, w, b, _ = _dense_silu_operands(gen, (64, 32, 32), 16, 16)
+    gout = gen.normal(size=(64, 32, 32, 16)).astype(np.float32)
+    results = []
+    for fn in (ad.dense_silu, lambda *a: ad.silu(_unfused_dense(*a))):
+        ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        with Tape() as tape:
+            out = fn(*ts)
+            loss = ad.sum_(ad.mul(out, Tensor(gout)))
+        grads = tape.backward(loss)
+        results.append((out.data, [grads[t] for t in ts]))
+    (fused, fused_grads), (chain, chain_grads) = results
+    assert np.array_equal(fused, chain)
+    for gf, gc in zip(fused_grads, chain_grads):
+        assert np.array_equal(gf, gc)
+    xt = Tensor(x[:1])
+    xt.data[0, 0, 0, 0] = np.nan
+    with pytest.raises(NonFiniteError) as err:
+        ad.dense_silu(xt, Tensor(w), Tensor(b))
+    assert err.value.op == "dense_silu"
+
+
+# ---------------------------------------------------------------------------
+# cross-attention (attention_probs + attend) and upsample_concat
+# ---------------------------------------------------------------------------
+
+def _attention_operands(gen, lead, c, s, d, dk):
+    return (gen.normal(size=lead + (c,)).astype(np.float32),
+            gen.normal(size=(lead[0], s, d)).astype(np.float32),
+            (gen.normal(size=(c, dk)) / np.sqrt(c)).astype(np.float32),
+            (gen.normal(size=(d, dk)) / np.sqrt(d)).astype(np.float32),
+            (gen.normal(size=(d, c)) / np.sqrt(d)).astype(np.float32))
+
+
+def _unfused_attention_probs(x, pm, wq, wk, scale):
+    bsz, s = pm.shape[:2]
+    q = ad.matmul(ad.reshape(x, (bsz, -1, x.shape[-1])), wq)
+    k2 = ad.matmul(ad.reshape(pm, (bsz * s, pm.shape[2])), wk)
+    k = ad.reshape(k2, (bsz, s, k2.shape[-1]))
+    return ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), scale), axis=-1)
+
+
+def _unfused_attend(x, attn, pm, wv):
+    bsz, s = pm.shape[:2]
+    v2 = ad.matmul(ad.reshape(pm, (bsz * s, pm.shape[2])), wv)
+    v = ad.reshape(v2, (bsz, s, v2.shape[-1]))
+    return ad.add(x, ad.reshape(ad.matmul(attn, v), x.shape))
+
+
+def _unfused_upsample_concat(low, skip):
+    return ad.concat([ad.upsample2x(low), skip], axis=-1)
+
+
+def _ref_attention_probs(x, pm, wq, wk, scale):
+    q = x.reshape(x.shape[0], -1, x.shape[-1]) @ wq
+    return REFERENCE_OPS["softmax"](q @ (pm @ wk).transpose(0, 2, 1) * scale)
+
+
+def _ref_attend(x, attn, pm, wv):
+    return x + (attn @ (pm @ wv)).reshape(x.shape)
+
+
+def test_attention_probs_fd_all_parents():
+    x, pm, wq, wk, _ = _attention_operands(RNG, (2, 3, 2), 4, 5, 3, 3)
+    _fd_each_parent(ad.attention_probs, _ref_attention_probs, [x, pm, wq, wk],
+                    (2, 6, 5), extra=(0.6,))
+
+
+def test_attend_fd_all_parents():
+    x, pm, _, _, wv = _attention_operands(RNG, (2, 3, 2), 4, 5, 3, 3)
+    attn = REFERENCE_OPS["softmax"](RNG.normal(size=(2, 6, 5))).astype(np.float32)
+    _fd_each_parent(ad.attend, _ref_attend, [x, attn, pm, wv], (2, 3, 2, 4))
+
+
+def test_upsample_concat_fd_all_parents():
+    low = RNG.normal(size=(2, 2, 3, 4)).astype(np.float32)
+    skip = RNG.normal(size=(2, 4, 6, 3)).astype(np.float32)
+
+    def ref(lv, sv):
+        return np.concatenate([REFERENCE_OPS["upsample2x"](lv), sv], axis=-1)
+
+    _fd_each_parent(ad.upsample_concat, ref, [low, skip], (2, 4, 6, 7))
+
+
+def _run_block(fused, arrays, gouts, scale, needs_grad):
+    """One cross-attention block plus a loss on both outputs; (values, grads)."""
+    ts = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs_grad)]
+    x, pm, wq, wk, wv = ts
+    probs, attend = ((ad.attention_probs, ad.attend) if fused
+                     else (_unfused_attention_probs, _unfused_attend))
+    with Tape() as tape:
+        attn = probs(x, pm, wq, wk, scale)
+        out = attend(x, attn, pm, wv)
+        loss = ad.add(ad.sum_(ad.mul(attn, Tensor(gouts[0]))),
+                      ad.sum_(ad.mul(out, Tensor(gouts[1]))))
+    grads = tape.backward(loss)
+    return [attn.data, out.data], [grads.get(t) for t in ts]
+
+
+@pytest.mark.parametrize("lead,c,trainable", [
+    ((1, 16, 16), 24, False),   # attn1 in the attack: only x needs a gradient
+    ((1, 8, 8), 32, True),
+    ((64, 16, 16), 24, True),   # attn1 at a training batch
+    ((64, 8, 8), 32, False),
+])
+def test_cross_attention_bitwise_matches_unfused_chain(lead, c, trainable):
+    gen = np.random.default_rng(79)
+    arrays = _attention_operands(gen, lead, c, 8, 16, 16)
+    n = int(np.prod(lead[1:]))
+    gouts = (gen.normal(size=(lead[0], n, 8)).astype(np.float32),
+             gen.normal(size=lead + (c,)).astype(np.float32))
+    needs = (True,) + (trainable,) * 4
+    scale = 1.0 / np.sqrt(16)
+    (fv, fg), (cv, cg) = (_run_block(f, arrays, gouts, scale, needs)
+                          for f in (True, False))
+    for a, b in zip(fv, cv):
+        assert np.array_equal(a, b)
+    for need, a, b in zip(needs, fg, cg):
+        assert (a is not None) == need
+        if need:
+            assert a.dtype == b.dtype == np.float32
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("low_shape,c_skip", [((1, 8, 8, 32), 24), ((64, 16, 16, 24), 16)])
+def test_upsample_concat_bitwise_matches_unfused_chain(low_shape, c_skip):
+    gen = np.random.default_rng(80)
+    b, h, w, _ = low_shape
+    arrays = (gen.normal(size=low_shape).astype(np.float32),
+              gen.normal(size=(b, 2 * h, 2 * w, c_skip)).astype(np.float32))
+    gout = gen.normal(size=(b, 2 * h, 2 * w, low_shape[-1] + c_skip)).astype(np.float32)
+    results = []
+    for fn in (ad.upsample_concat, _unfused_upsample_concat):
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = fn(*ts)
+            loss = ad.sum_(ad.mul(out, Tensor(gout)))
+        grads = tape.backward(loss)
+        results.append((out.data, [grads[t] for t in ts]))
+    (fused, fused_grads), (chain, chain_grads) = results
+    assert np.array_equal(fused, chain)
+    for gf, gc in zip(fused_grads, chain_grads):
+        assert np.array_equal(gf, gc)
+
+
+def test_fused_attention_ops_name_themselves_on_nan():
+    x, pm, wq, wk, wv = _attention_operands(RNG, (1, 2, 2), 4, 3, 5, 2)
+    bad = Tensor(x)
+    bad.data[0, 1, 0, 2] = np.nan
+    with pytest.raises(NonFiniteError) as err:
+        ad.attention_probs(bad, Tensor(pm), Tensor(wq), Tensor(wk), 0.5)
+    assert err.value.op == "attention_probs"
+    attn = ad.attention_probs(Tensor(x), Tensor(pm), Tensor(wq), Tensor(wk), 0.5)
+    with pytest.raises(NonFiniteError) as err:
+        ad.attend(bad, attn, Tensor(pm), Tensor(wv))
+    assert err.value.op == "attend"
+
+
+def test_fused_attention_shape_errors():
+    x, pm, wq, wk, wv = (Tensor(a) for a in _attention_operands(RNG, (1, 2, 2), 4, 3, 5, 2))
+    with pytest.raises(ShapeMismatchError):
+        ad.attention_probs(x, pm, Tensor(wq.data.T), wk, 0.5)
+    with pytest.raises(ShapeMismatchError):
+        ad.attention_probs(x, Tensor(pm.data[0]), wq, wk, 0.5)
+    attn = ad.attention_probs(x, pm, wq, wk, 0.5)
+    with pytest.raises(ShapeMismatchError):
+        ad.attend(x, Tensor(attn.data[:, :3]), pm, wv)
+    with pytest.raises(ShapeMismatchError):
+        ad.attend(x, attn, pm, Tensor(wv.data[:, :3]))
+    with pytest.raises(ShapeMismatchError):
+        ad.upsample_concat(Tensor(np.zeros((1, 2, 2, 3))), Tensor(np.zeros((1, 4, 5, 3))))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import tiny_experiment
 from imukit.harness.cli import main
 from imukit.harness.config import ConfigError, ExperimentConfig, config_hash
 from imukit.harness.pipeline import (
-    MissingArtifactError, _edit_rng, _evaluate_rows, _prompts_for, cmd_ablate,
+    ABLATION_METHODS, MissingArtifactError, _edit_rng, _evaluate_rows, _prompts_for, cmd_ablate,
     cmd_evaluate, cmd_gen_data, cmd_immunize, cmd_report, cmd_train, load_split,
     run_paths,
 )
@@ -296,6 +297,47 @@ def test_ablate_tables(tiny_run):
                                 "time_per_iter_s"}
     for r in bins["rows"]:
         assert r["time_per_iter_s"] > 0
+
+
+@pytest.mark.parametrize("edit_prompts", ["original", "unseen"])
+def test_ablate_sweep_reuses_evaluated_clean_edits(tiny_run, forward_calls, tmp_path,
+                                                   edit_prompts):
+    cfg = dataclasses.replace(tiny_run, out_dir=str(tmp_path), edit_prompts=edit_prompts)
+    shutil.copytree(run_paths(tiny_run).root, run_paths(cfg).root)
+    paths = run_paths(cfg)
+    cmd_ablate(cfg)
+    n_ablate = len(forward_calls)
+
+    items = load_split(paths, "test")
+    model = load_model(paths.model_bin)
+    forward_calls.clear()
+    _evaluate_rows(model, cfg, paths, items, list(ABLATION_METHODS))
+    n_components = len(forward_calls)
+    # per bin count and subset image: two forwards per attacked timestep, then
+    # the immunized image's edit and its percep features; the clean edits
+    # and their features come from the component rows when those edit
+    # under the original caption
+    subset = range(min(cfg.ablate_images, len(items)))
+    attack = cfg.ablate_repeats * cfg.ablate_iterations * len(cfg.attack.timesteps) * 2
+    per_image = attack + cfg.t_edit + 1
+    clean = 0 if edit_prompts == "original" else cfg.t_edit + 1
+    assert n_ablate == (n_components + len(cfg.ablate_bins) * len(subset) * per_image
+                        + len(subset) * clean)
+
+    bins = read_json(paths.bins_json)
+    before = read_json(run_paths(tiny_run).bins_json)
+    for row, old in zip(bins["rows"], before["rows"]):
+        assert {**row, "time_per_iter_s": 0} == {**old, "time_per_iter_s": 0}
+        vals = {m: [] for m in METRIC_NAMES}
+        for idx in subset:
+            prompt = model.encode_prompt(encode_caption(items[idx].caption))
+            clean = edit(model, items[idx].image, prompt, cfg.t_edit, _edit_rng(cfg, idx, 0))
+            x_imu = read_ppm(paths.ablate_dir / f"bins_{row['bins']}_img_{idx:03d}.ppm")
+            out = edit(model, x_imu, prompt, cfg.t_edit, _edit_rng(cfg, idx, 0))
+            for m, v in full_report(clean, out, model).to_dict().items():
+                vals[m].append(v)
+        for m in METRIC_NAMES:
+            assert row[f"defense_{m}"] == float(np.mean(vals[m]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from imukit import autodiff as ad
+from imukit.autodiff import Tape, Tensor
 from imukit.diffusion import (
     DenoiserModel, ModelConfig, build_schedule, load_model, predict_noise, save_model,
 )
-from imukit.diffusion.model import bottleneck_features
+from imukit.diffusion.model import N_POS_CHANNELS, bottleneck_features, positional_channels
 from imukit.diffusion.text import PAD_ID
 from oracle_forward import oracle_forward
 
@@ -118,3 +120,85 @@ def test_init_is_seeded():
     c = DenoiserModel.init(cfg, seed=4, schedule=sched)
     assert np.array_equal(a.params["enc0_w"].data, b.params["enc0_w"].data)
     assert not np.array_equal(a.params["enc0_w"].data, c.params["enc0_w"].data)
+
+
+# ---------------------------------------------------------------------------
+# fused forward against the unfused primitive chain
+# ---------------------------------------------------------------------------
+
+def _unfused_cross_attention(model, x4, pm, prefix, maps):
+    bsz, h, w, c = x4.shape
+    s = pm.shape[1]
+    flat = ad.reshape(x4, (bsz, h * w, c))
+    q = ad.matmul(flat, model.params[prefix + "_q"])
+    k2 = ad.matmul(ad.reshape(pm, (bsz * s, pm.shape[2])), model.params[prefix + "_k"])
+    v2 = ad.matmul(ad.reshape(pm, (bsz * s, pm.shape[2])), model.params[prefix + "_v"])
+    k = ad.reshape(k2, (bsz, s, k2.shape[-1]))
+    v = ad.reshape(v2, (bsz, s, v2.shape[-1]))
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))),
+                      1.0 / np.sqrt(model.config.d_k))
+    attn = ad.softmax(scores, axis=-1)
+    if maps is not None:
+        maps.append(ad.reshape(attn, (h, w, s)))
+    out = ad.reshape(ad.matmul(attn, v), (bsz, h, w, c))
+    return ad.add(x4, out)
+
+
+def _unfused_forward(model, xb, t, pm, maps):
+    """DenoiserModel.forward_batch written with one primitive per step."""
+    size = model.config.image_size
+    pos = np.broadcast_to(positional_channels(size),
+                          (xb.shape[0], size, size, N_POS_CHANNELS))
+    x = ad.concat([xb, Tensor(pos)], axis=-1)
+    h0 = model._level(x, t, "enc0")
+    h0 = ad.silu(model._dense(h0, "enc0b_w", "enc0b_b"))
+    h1 = model._level(ad.avgpool2x(h0), t, "enc1")
+    h1 = _unfused_cross_attention(model, h1, pm, "attn1", maps)
+    h2 = model._level(ad.avgpool2x(h1), t, "enc2")
+    h2 = _unfused_cross_attention(model, h2, pm, "attn2", maps)
+    d1 = model._level(ad.concat([ad.upsample2x(h2), h1], axis=-1), t, "dec1")
+    d0 = model._level(ad.concat([ad.upsample2x(d1), h0], axis=-1), t, "dec0")
+    return model._dense(d0, "head_w", "head_b")
+
+
+@pytest.mark.parametrize("bsz,trainable", [(1, False), (1, True), (64, False), (64, True)])
+def test_forward_and_gradients_bitwise_match_unfused_chain(bsz, trainable):
+    """The fused blocks reproduce the unfused chain's values and gradients.
+
+    Frozen, only the input needs a gradient (the attack); trainable, every
+    parameter does, and the prompt embedding collects gradients from four
+    projections in the unfused chain's order (training).
+    """
+    gen = np.random.default_rng(90)
+    model = DenoiserModel.init(ModelConfig(), seed=5, schedule=build_schedule(50))
+    model.set_trainable(trainable)
+    xs = gen.random((bsz, 32, 32, 3)).astype(np.float32)
+    ids = gen.integers(1, 22, size=(bsz, 8))
+    weights = [gen.normal(size=(bsz, 32, 32, 3)).astype(np.float32),
+               gen.normal(size=(16, 16, 8)).astype(np.float32),
+               gen.normal(size=(8, 8, 8)).astype(np.float32)]
+    results = []
+    for fused in (True, False):
+        x = Tensor(xs, requires_grad=not trainable)
+        with Tape() as tape:
+            pm = model._embed_ids(ids)
+            if fused:
+                eps, rec = model.forward_batch(x, 17, pm, capture_attention=bsz == 1)
+                maps = rec.per_block if rec else []
+            else:
+                maps = [] if bsz == 1 else None
+                eps = _unfused_forward(model, x, 17, pm, maps)
+            terms = [ad.sum_(ad.mul(o, Tensor(w)))
+                     for o, w in zip([eps] + (maps or []), weights)]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = ad.add(loss, term)
+        grads = tape.backward(loss)
+        leaves = [model.params[n] for n in model.param_names()] if trainable else [x]
+        results.append(([eps.data] + [m.data for m in maps or []],
+                        [grads[leaf] for leaf in leaves]))
+    (fused_vals, fused_grads), (chain_vals, chain_grads) = results
+    assert len(fused_vals) == (3 if bsz == 1 else 1)
+    for a, b in zip(fused_vals + fused_grads, chain_vals + chain_grads):
+        assert a.dtype == b.dtype == np.float32
+        assert np.array_equal(a, b)

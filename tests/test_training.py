@@ -6,7 +6,7 @@ from imukit.diffusion import (
     DenoiserModel, ModelConfig, TrainConfig, TrainingDiverged, build_schedule,
     make_dataset, train,
 )
-from imukit.diffusion.training import _mc_loss, _stacked
+from imukit.diffusion.training import _mc_loss, _stacked, evaluate_loss
 from oracles import fd_agreement, numeric_grad
 
 
@@ -59,6 +59,19 @@ def test_training_deterministic_across_runs():
     assert ra.final_loss == rb.final_loss
     for k in ma.params:
         assert np.array_equal(ma.params[k].data, mb.params[k].data)
+
+
+@pytest.mark.parametrize("steps", [0, 7])
+def test_final_heldout_scores_the_trained_model_once(steps, forward_calls):
+    model, ds = small_setup(seed=6)
+    heldout = make_dataset(6, 1, 2, size=16)
+    cfg = TrainConfig(steps=steps, batch_size=4, eval_every=5, eval_rounds=2, seed=3)
+    res = train(model, ds, cfg, heldout=heldout)
+    evals = len(res.curve) + (steps == 0)
+    assert len(forward_calls) == steps + evals * cfg.eval_rounds
+    assert res.final_heldout == evaluate_loss(model, heldout, cfg)
+    if steps:
+        assert res.curve[-1][0] == steps and res.final_heldout == res.curve[-1][2]
 
 
 def test_divergence_aborts_with_step():
