@@ -54,22 +54,6 @@ class AttackConfig:
             raise ValueError("timesteps must be distinct")
         object.__setattr__(self, "timesteps", ts)
 
-    def to_dict(self):
-        return {
-            "gamma": self.gamma, "alpha_step": self.alpha_step,
-            "iterations": self.iterations, "timesteps": list(self.timesteps),
-            "lambda_daa": self.lambda_daa, "lambda_nba": self.lambda_nba,
-            "bins": self.bins, "seed": self.seed, "daa_mode": self.daa_mode,
-            "sa_threshold": self.sa_threshold, "snap_8bit": self.snap_8bit,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["timesteps"] = tuple(d.get("timesteps", ()))
-        d.pop("record_masks", None)
-        return cls(**d)
-
 
 @dataclass
 class PerturbationState:

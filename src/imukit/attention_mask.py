@@ -105,15 +105,13 @@ def aggregate(record, prompt):
         acc = m if acc is None else ad.add(acc, m)
     pre = ad.reshape(ad.scale(acc, 1.0 / len(record.per_block)), (target, target))
 
-    lo = float(pre.data.min())
-    hi = float(pre.data.max())
+    lo, hi = pre.data.min(), pre.data.max()
     if hi <= lo:
         zero = Tensor(np.zeros((target, target), dtype=np.float32))
         return AggregatedAttention(map=zero, pre_norm=pre,
                                    token_indices=tuple(int(i) for i in token_idx),
                                    degenerate=True)
-    lo32, hi32 = pre.data.min(), pre.data.max()
-    norm = ad.constant((pre.data - lo32) / (hi32 - lo32))
+    norm = ad.constant((pre.data - lo) / (hi - lo))
     return AggregatedAttention(map=norm, pre_norm=pre,
                                token_indices=tuple(int(i) for i in token_idx),
                                degenerate=False)
@@ -191,7 +189,7 @@ def make_mask(agg, bins, timestep=-1):
     comparison is strict, so the map's maximum is always in the mask and its
     minimum never is. Degenerate input produces an all-zero flagged mask.
     """
-    values = agg.map.data if isinstance(agg.map, Tensor) else np.asarray(agg.map)
+    values = agg.map.data
     if agg.degenerate:
         return BinaryMask(mask=np.zeros(values.shape, dtype=np.uint8),
                           threshold_used=1.0, timestep=timestep, degenerate=True)
@@ -217,7 +215,7 @@ def fixed_threshold_mask(agg, threshold, timestep=-1):
 
 def dump_debug(agg, mask, prefix):
     """Heat PPMs for the aggregated map and mask plus a JSON sidecar."""
-    values = agg.map.data if isinstance(agg.map, Tensor) else np.asarray(agg.map)
+    values = agg.map.data
     write_heatmap_ppm(f"{prefix}_attention.ppm", values)
     write_heatmap_ppm(f"{prefix}_mask.ppm", mask.mask.astype(np.float64))
     sidecar = {

@@ -18,11 +18,11 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeMismatchError", "NonFiniteError", "GradientError",
-    "add", "sub", "mul", "div", "matmul", "dense_silu", "attention_probs",
+    "add", "sub", "mul", "matmul", "dense_silu", "attention_probs",
     "attend", "scale", "neg", "relu", "silu", "softmax",
     "sum_", "mean_", "square", "sqrt", "reshape", "transpose", "concat",
     "getitem", "upsample2x", "upsample_concat", "avgpool2x", "frobenius_sq",
-    "l2_sq_distance", "reduce_min", "reduce_max", "stop_gradient", "constant",
+    "l2_sq_distance", "stop_gradient", "constant",
 ]
 
 _F32 = np.float32
@@ -311,20 +311,6 @@ def mul(a, b):
                 _unbroadcast(g * ad, b.shape) if needs[1] else None)
 
     return _finish("mul", ad * bd, (a, b), vjp)
-
-
-def div(a, b):
-    _suffix_shapes("div", a, b)
-    ad, bd = a.data, b.data
-
-    def vjp(g, needs):
-        ga = _unbroadcast(g / bd, a.shape) if needs[0] else None
-        gb = _unbroadcast(-g * ad / (bd * bd), b.shape) if needs[1] else None
-        return ga, gb
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = ad / bd
-    return _finish("div", out, (a, b), vjp)
 
 
 def scale(x, s):
@@ -626,36 +612,6 @@ def l2_sq_distance(a, b):
         return (gd if needs[0] else None, -gd if needs[1] else None)
 
     return _finish("l2_sq_distance", out, (a, b), vjp)
-
-
-def reduce_max(x):
-    """Max over all entries; gradient routes to the first (row-major) argmax."""
-    xd = x.data
-    idx = int(np.argmax(xd))
-
-    def vjp(g, needs):
-        if not needs[0]:
-            return (None,)
-        z = np.zeros_like(xd)
-        z.flat[idx] = g
-        return (z,)
-
-    return _finish("reduce_max", np.asarray(xd.flat[idx]), (x,), vjp)
-
-
-def reduce_min(x):
-    """Min over all entries; gradient routes to the first (row-major) argmin."""
-    xd = x.data
-    idx = int(np.argmin(xd))
-
-    def vjp(g, needs):
-        if not needs[0]:
-            return (None,)
-        z = np.zeros_like(xd)
-        z.flat[idx] = g
-        return (z,)
-
-    return _finish("reduce_min", np.asarray(xd.flat[idx]), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -19,7 +20,7 @@ def save_model(model, path):
     names = model.param_names()
     header = {
         "format": _FORMAT,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "schedule": {
             "T": model.schedule.T,
             "beta_min": model.schedule.beta_min,
@@ -43,7 +44,7 @@ def load_model(path, trainable=False):
     header = json.loads(header_line.decode("utf-8"))
     if header.get("format") != _FORMAT:
         raise ValueError(f"load_model: {path}: unrecognized format")
-    config = ModelConfig.from_dict(header["config"])
+    config = ModelConfig(**header["config"])
     sched = build_schedule(header["schedule"]["T"], header["schedule"]["beta_min"],
                            header["schedule"]["beta_max"])
     params = {}

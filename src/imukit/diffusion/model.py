@@ -32,20 +32,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.image_size % 4 != 0:
             raise ValueError(f"image_size must be divisible by 4, got {self.image_size}")
-
-    def to_dict(self):
-        return {
-            "image_size": self.image_size, "in_channels": self.in_channels,
-            "widths": list(self.widths), "d_k": self.d_k,
-            "d_text": self.d_text, "d_time": self.d_time,
-            "vocab": self.vocab, "max_tokens": self.max_tokens,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["widths"] = tuple(d["widths"])
-        return cls(**d)
+        object.__setattr__(self, "widths", tuple(self.widths))
 
 
 @dataclass

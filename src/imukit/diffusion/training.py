@@ -32,18 +32,6 @@ class TrainConfig:
     heldout_threshold: float = 0.35
     seed: int = 0
 
-    def to_dict(self):
-        return {
-            "steps": self.steps, "batch_size": self.batch_size, "lr": self.lr,
-            "beta1": self.beta1, "beta2": self.beta2, "adam_eps": self.adam_eps,
-            "eval_every": self.eval_every, "eval_rounds": self.eval_rounds,
-            "heldout_threshold": self.heldout_threshold, "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class TrainResult:

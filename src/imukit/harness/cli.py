@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from imukit.autodiff import NonFiniteError
 from imukit.diffusion.training import TrainingDiverged
@@ -64,15 +65,8 @@ def build_parser():
 
 def load_config(args):
     cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "jobs", None) is not None:
-        if args.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        cfg.jobs = args.jobs
-    return cfg
+    overrides = {"seed": args.seed, "out_dir": args.out, "jobs": args.jobs}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _parse_methods(args):

@@ -8,11 +8,15 @@ from dataclasses import asdict, dataclass, field
 
 from imukit.attack import AttackConfig
 from imukit.diffusion.training import TrainConfig
+from imukit.harness.artifacts import write_json
 
 METHODS = ("none", "random-noise", "sa-style", "danp", "wo-daa", "wo-nba")
 METHOD_CODES = {m: i for i, m in enumerate(METHODS)}
 
 EDIT_POLICIES = ("original", "unseen", "both")
+
+# execution details and output counts; they never enter the config hash
+_UNHASHED = ("out_dir", "jobs", "heatmap_images", "ablate_repeats")
 
 
 class ConfigError(ValueError):
@@ -30,17 +34,11 @@ class ModelSpec:
     beta_min: float = 1e-4
     beta_max: float = 0.02
 
-    def to_dict(self):
-        d = asdict(self)
-        d["widths"] = list(self.widths)
-        return d
+    def __post_init__(self):
+        self.widths = tuple(self.widths)
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if "widths" in d:
-            d["widths"] = tuple(d["widths"])
-        return cls(**d)
+
+_SECTIONS = {"model": ModelSpec, "train": TrainConfig, "attack": AttackConfig}
 
 
 @dataclass
@@ -83,53 +81,30 @@ class ExperimentConfig:
     def t_edit(self):
         return int(round(self.edit_t_frac * self.model.T))
 
-    def hashable_dict(self):
-        """Everything that shapes the outputs; excludes out_dir and jobs."""
-        train = self.train.to_dict()
-        train["seed"] = self.seed  # train seed always follows the run seed
-        attack = self.attack.to_dict()
-        attack["seed"] = self.seed
-        return {
-            "seed": self.seed,
-            "n_train": self.n_train, "n_test": self.n_test,
-            "model": self.model.to_dict(),
-            "train": train,
-            "attack": attack,
-            "methods": list(self.methods),
-            "edit_prompts": self.edit_prompts,
-            "n_unseen": self.n_unseen,
-            "edit_t_frac": self.edit_t_frac,
-            "ablate_images": self.ablate_images,
-            "ablate_iterations": self.ablate_iterations,
-            "ablate_bins": list(self.ablate_bins),
-        }
-
     def to_dict(self):
-        d = self.hashable_dict()
-        d["out_dir"] = self.out_dir
-        d["jobs"] = self.jobs
-        d["heatmap_images"] = self.heatmap_images
-        d["ablate_repeats"] = self.ablate_repeats
+        """The config.json document; the train and attack seeds follow the run seed."""
+        d = asdict(self)
+        d["train"]["seed"] = d["attack"]["seed"] = self.seed
+        del d["attack"]["record_masks"]
+        return d
+
+    def hashable_dict(self):
+        """Everything that shapes the outputs."""
+        d = self.to_dict()
+        for key in _UNHASHED:
+            del d[key]
         return d
 
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
         try:
-            if "model" in d:
-                d["model"] = ModelSpec.from_dict(d["model"])
-            if "train" in d:
-                t = dict(d["train"])
-                t.pop("seed", None)
-                d["train"] = TrainConfig.from_dict(t)
-            if "attack" in d:
-                a = dict(d["attack"])
-                a.pop("seed", None)
-                d["attack"] = AttackConfig.from_dict(a)
-            if "methods" in d:
-                d["methods"] = tuple(d["methods"])
-            if "ablate_bins" in d:
-                d["ablate_bins"] = tuple(d["ablate_bins"])
+            for name, section in _SECTIONS.items():
+                if name in d:
+                    kw = dict(d[name])
+                    if name in ("train", "attack"):
+                        kw.pop("seed", None)  # follows the run seed
+                    d[name] = section(**kw)
             return cls(**d)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad experiment config: {e}") from e
@@ -146,9 +121,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
 
 def config_hash(cfg):

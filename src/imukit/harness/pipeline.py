@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from imukit.attack import AttackConfig, immunize, random_noise_delta, resolve_timesteps
+from imukit.attack import immunize, random_noise_delta, resolve_timesteps
 from imukit.attention_mask import aggregate, dump_debug, make_mask
 from imukit.diffusion.dataset import (
     SPLIT_TEST, SPLIT_TRAIN, ToyDataset, make_dataset, unseen_captions,
@@ -26,7 +26,7 @@ from imukit.diffusion.model import DenoiserModel, ModelConfig, predict_noise
 from imukit.diffusion.sampling import edit
 from imukit.diffusion.schedule import build_schedule, forward_diffuse
 from imukit.diffusion.text import encode_caption
-from imukit.diffusion.training import TrainConfig, train
+from imukit.diffusion.training import train
 from imukit.harness.artifacts import read_delta, read_json, write_delta, write_json
 from imukit.harness.config import METHOD_CODES, METHODS, ExperimentConfig, config_hash
 from imukit.harness.tables import (
@@ -247,7 +247,7 @@ def cmd_train(cfg):
                           d_k=spec.d_k, d_text=spec.d_text, d_time=spec.d_time)
     model = DenoiserModel.init(mconfig, seed=_derive_seed(cfg.seed, _ROLE_MODEL),
                                schedule=sched)
-    tcfg = TrainConfig(**{**cfg.train.to_dict(), "seed": _derive_seed(cfg.seed, _ROLE_TRAIN)})
+    tcfg = replace(cfg.train, seed=_derive_seed(cfg.seed, _ROLE_TRAIN))
 
     t0 = time.perf_counter()
     result = train(model, train_items, tcfg, heldout=test_items)
@@ -279,12 +279,7 @@ def cmd_train(cfg):
 # ---------------------------------------------------------------------------
 
 def method_attack_config(cfg, method, seed_int):
-    base = cfg.attack
-    kw = dict(gamma=base.gamma, alpha_step=base.alpha_step,
-              iterations=base.iterations, timesteps=base.timesteps,
-              lambda_daa=base.lambda_daa, lambda_nba=base.lambda_nba,
-              bins=base.bins, seed=seed_int, daa_mode="dual",
-              sa_threshold=base.sa_threshold, snap_8bit=base.snap_8bit)
+    kw = dict(seed=seed_int, daa_mode="dual")
     if method == "wo-daa":
         kw["daa_mode"] = "off"
     elif method == "wo-nba":
@@ -292,7 +287,7 @@ def method_attack_config(cfg, method, seed_int):
     elif method == "sa-style":
         kw["daa_mode"] = "suppress-fixed"
         kw["lambda_nba"] = 0.0
-    return AttackConfig(**kw)
+    return replace(cfg.attack, **kw)
 
 
 def _loss_weights(method, acfg):
@@ -326,9 +321,9 @@ def _immunize_one(model, cfg, paths, method, idx, item):
     write_delta(paths.delta_file(method, idx), delta,
                 meta={"method": method, "image_index": idx,
                       "gamma": acfg.gamma, "config_hash": config_hash(cfg)})
-    cfg_echo = acfg.to_dict()
-    cfg_echo.pop("lambda_daa", None)
-    cfg_echo.pop("lambda_nba", None)
+    cfg_echo = asdict(acfg)
+    for key in ("lambda_daa", "lambda_nba", "record_masks"):
+        del cfg_echo[key]
     if method not in ("none", "random-noise"):
         cfg_echo["timesteps"] = list(resolve_timesteps(acfg, model.schedule))
     report = {
@@ -610,9 +605,7 @@ def cmd_ablate(cfg):
                 item = items[idx]
                 acfg = method_attack_config(
                     cfg, "danp", _derive_seed(cfg.seed, _ROLE_ABLATE, bins, idx))
-                acfg = AttackConfig(**{**acfg.to_dict(),
-                                       "bins": bins,
-                                       "iterations": cfg.ablate_iterations})
+                acfg = replace(acfg, bins=bins, iterations=cfg.ablate_iterations)
                 x_imu, _ = run_method_on_image(model, "danp", item.image,
                                                item.tokens, acfg)
                 if rep == 0:

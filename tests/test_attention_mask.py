@@ -228,7 +228,7 @@ def test_aggregate_requires_content_tokens(rng):
 
 def test_aggregate_is_differentiable(rng):
     """pre_norm, the map the DAA loss uses, carries the gradient; the
-    normalized map is a constant equal to the differentiable min-max chain."""
+    normalized map is a constant equal to the float32 min-max normalization."""
     raw = rng.random((4, 4, 2)).astype(np.float32)
     prompt = fake_prompt([True, True])
     x = Tensor(raw, requires_grad=True)
@@ -244,11 +244,11 @@ def test_aggregate_is_differentiable(rng):
     want = numeric_grad(f, raw.astype(np.float64))
     assert fd_agreement(got, want) >= 0.99
 
-    pre = agg.pre_norm
-    lo, hi = ad.reduce_min(pre), ad.reduce_max(pre)
-    chain = ad.div(ad.sub(pre, lo), ad.sub(hi, lo))
+    pre = agg.pre_norm.data
+    want = (pre - pre.min()) / (pre.max() - pre.min())
     assert not agg.map.requires_grad
-    assert np.array_equal(agg.map.data, chain.data)
+    assert want.dtype == agg.map.data.dtype == np.float32
+    assert agg.map.data.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,10 @@ def test_scale_fd():
     (ad.add, lambda a, b: a + b),
     (ad.sub, lambda a, b: a - b),
     (ad.mul, lambda a, b: a * b),
-    (ad.div, lambda a, b: a / b),
 ])
 def test_binary_fd(op, ref):
     a = RNG.normal(size=(4, 3)).astype(np.float32)
-    b = (RNG.normal(size=(4, 3)) + 3.0).astype(np.float32)  # divisors away from 0
+    b = (RNG.normal(size=(4, 3)) + 3.0).astype(np.float32)
     bt, at = Tensor(b), Tensor(a)
     b64, a64 = b.astype(np.float64), a.astype(np.float64)
     check_fd(lambda t: op(t, bt), lambda xv: ref(xv, b64), a, (4, 3))
@@ -106,8 +105,6 @@ def test_reduction_fd():
         (ad.sum_, lambda xv: xv.sum()),
         (ad.mean_, lambda xv: xv.mean()),
         (ad.frobenius_sq, lambda xv: (xv ** 2).sum()),
-        (ad.reduce_max, lambda xv: xv.max()),
-        (ad.reduce_min, lambda xv: xv.min()),
     ]:
         got = analytic_grad(build, x)
         want = numeric_grad(lambda xv: float(ref(xv)), x)
@@ -220,8 +217,8 @@ def test_shape_errors_are_structured():
 
 
 def test_nonfinite_raises():
-    with pytest.raises(NonFiniteError):
-        ad.div(Tensor([1.0]), Tensor([0.0]))
+    with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+        ad.square(Tensor([1e30]))
     with pytest.raises(NonFiniteError):
         Tensor([np.inf])
 
@@ -233,7 +230,6 @@ def test_primitives_do_not_mutate_inputs():
     before_a, before_b = ta.data.copy(), tb.data.copy()
     ad.add(ta, tb)
     ad.mul(ta, tb)
-    ad.div(ta, tb)
     ad.silu(ta)
     ad.softmax(ta, axis=-1)
     ad.avgpool2x(ta)

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from conftest import tiny_experiment
-from imukit.harness.cli import main
+from imukit.harness.cli import build_parser, load_config, main
 from imukit.harness.config import ConfigError, ExperimentConfig, config_hash
 from imukit.harness.pipeline import (
     ABLATION_METHODS, MissingArtifactError, _edit_rng, _evaluate_rows, _prompts_for, cmd_ablate,
     cmd_evaluate, cmd_gen_data, cmd_immunize, cmd_report, cmd_train, load_split,
-    run_paths,
+    method_attack_config, run_paths,
 )
 from imukit.harness.artifacts import read_delta, read_json
 from imukit.harness.tables import METRIC_NAMES, read_csv
-from imukit.diffusion.io import load_model
+from imukit.diffusion.io import load_model, save_model
 from imukit.diffusion.sampling import edit
 from imukit.diffusion.text import encode_caption
 from imukit.metrics import full_report
@@ -54,11 +54,64 @@ def test_config_hash_changes_with_any_hyperparameter(tmp_path):
     assert config_hash(tiny_experiment(tmp_path, seed=1)) != h
     assert config_hash(tiny_experiment(tmp_path, n_test=4)) != h
     bumped = tiny_experiment(tmp_path)
-    bumped.attack = type(bumped.attack)(**{**bumped.attack.to_dict(), "gamma": 0.05})
+    bumped.attack = dataclasses.replace(bumped.attack, gamma=0.05)
     assert config_hash(bumped) != h
     # out_dir and jobs are execution details, not hyperparameters
     moved = tiny_experiment(tmp_path / "elsewhere")
     assert config_hash(moved) == h
+
+
+def test_config_hashes_are_pinned(tmp_path):
+    """The run directory names of the default and tiny configs do not move."""
+    assert config_hash(ExperimentConfig()) == "ac882f66df35"
+    assert config_hash(ExperimentConfig(seed=3)) == "bc88a1b69624"
+    assert config_hash(tiny_experiment(tmp_path, seed=0)) == "a4a9e0b866c4"
+    assert config_hash(tiny_experiment(tmp_path, seed=5, edit_prompts="both")) == "5fba7b064142"
+
+
+@pytest.mark.parametrize("section,key", [
+    (None, "bogus"), ("model", "bogus"), ("model", "seed"), ("train", "bogus"),
+    ("attack", "bogus"),
+])
+def test_config_unknown_key_is_rejected(tmp_path, section, key):
+    d = tiny_experiment(tmp_path).to_dict()
+    (d if section is None else d[section])[key] = 1
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(d)
+
+
+def test_config_json_lists_load_as_tuples(tmp_path):
+    cfg = tiny_experiment(tmp_path)
+    p = tmp_path / "cfg.json"
+    cfg.save(p)
+    loaded = ExperimentConfig.load(p)
+    assert loaded.model.widths == (8, 12, 16)
+    assert loaded.attack.timesteps == (2, 9, 17)
+    assert loaded.methods == ("none", "random-noise", "danp")
+    assert loaded.ablate_bins == (16, 64)
+    assert loaded == cfg
+
+
+def test_model_config_round_trips_through_model_bin(tmp_path, tiny_model):
+    save_model(tiny_model, tmp_path / "model.bin")
+    loaded = load_model(tmp_path / "model.bin")
+    assert loaded.config == tiny_model.config
+    assert loaded.config.widths == (8, 12, 16)
+
+
+@pytest.mark.parametrize("method,daa_mode,lambda_nba", [
+    ("none", "dual", 0.5), ("random-noise", "dual", 0.5),
+    ("sa-style", "suppress-fixed", 0.0), ("danp", "dual", 0.5),
+    ("wo-daa", "off", 0.5), ("wo-nba", "dual", 0.0),
+])
+def test_method_attack_config(tmp_path, method, daa_mode, lambda_nba):
+    cfg = tiny_experiment(tmp_path, attack={
+        "iterations": 4, "timesteps": [2, 9, 17], "alpha_step": 0.0075,
+        "lambda_daa": 2.0, "lambda_nba": 0.5, "bins": 64, "daa_mode": "off"})
+    acfg = method_attack_config(cfg, method, 1234)
+    assert (acfg.daa_mode, acfg.lambda_nba, acfg.seed) == (daa_mode, lambda_nba, 1234)
+    # every other field comes from the configured attack
+    assert dataclasses.replace(acfg, daa_mode="off", lambda_nba=0.5, seed=0) == cfg.attack
 
 
 def test_config_validation_errors(tmp_path):
@@ -429,6 +482,20 @@ def test_cli_seed_override_changes_hash(tmp_path):
     bumped = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": 7})
     assert run_paths(bumped).manifest.exists()
     assert config_hash(bumped) != config_hash(cfg)
+
+
+def test_cli_rejects_zero_jobs(tmp_path):
+    assert main(["gen-data", "--out", str(tmp_path), "--jobs", "0"]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_overrides_seed_out_and_jobs(tmp_path):
+    args = build_parser().parse_args(
+        ["gen-data", "--seed", "7", "--out", str(tmp_path), "--jobs", "2"])
+    cfg = load_config(args)
+    assert config_hash(cfg) == config_hash(ExperimentConfig(seed=7))
+    assert cfg.out_dir == str(tmp_path)
+    assert cfg.jobs == 2
 
 
 def test_jobs_parallel_immunize_matches_serial(tmp_path):
