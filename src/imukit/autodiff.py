@@ -8,6 +8,13 @@ magnitude below the gradient-check tolerances. Broadcasting is restricted to
 suffix expansion (the smaller operand's shape must equal the trailing dims of
 the larger one), so every gradient rule stays a plain sum over leading axes.
 Primitives never mutate their inputs and raise on non-finite outputs.
+
+A product of frozen weights (requires_grad False) with rows flattened across
+the images of a batch runs one gemm per image, at the single-image shape.
+OpenBLAS picks its gemm kernel by row count, so one gemm over all images'
+rows can give a row other bits than the same image alone (dec1's K=56
+contraction does from B=3 on); per image, a row's bits do not depend on the
+rows that share its batch. Trainable weights keep one gemm over the batch.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeMismatchError", "NonFiniteError", "GradientError",
-    "add", "sub", "mul", "matmul", "dense_silu", "attention_probs",
+    "add", "sub", "mul", "matmul", "dense", "dense_silu", "attention_probs",
     "attend", "scale", "neg", "relu", "silu", "softmax",
     "sum_", "mean_", "square", "sqrt", "reshape", "transpose", "concat",
     "getitem", "upsample2x", "upsample_concat", "avgpool2x", "frobenius_sq",
@@ -141,6 +148,16 @@ def _coerce(x):
     return Tensor(np.asarray(x, dtype=_F32))
 
 
+class _View(Tensor):
+    """base's data under another shape; made by reshape, not a tape node.
+
+    Backward hands the gradient an op returns for a view to its base,
+    reshaped to base's shape.
+    """
+
+    __slots__ = ("base",)
+
+
 class _Node:
     __slots__ = ("out", "parents", "vjp")
 
@@ -199,13 +216,15 @@ class Tape(object):
         """
         if not isinstance(root, Tensor) or root.data.shape != ():
             raise GradientError("backward: root must be a scalar Tensor")
+        if type(root) is _View:
+            root = root.base
         if not self.nodes:
             raise GradientError("backward: tape is empty")
         produced = {id(n.out) for n in self.nodes}
         if id(root) not in produced:
             raise GradientError("backward: root was not computed on this tape")
 
-        grads = {id(root): np.ones((), dtype=_F32)}
+        grads = {id(root): np.ones(root.data.shape, dtype=_F32)}
         holders = {}
         for node in reversed(self.nodes):
             g = grads.get(id(node.out))
@@ -216,6 +235,9 @@ class Tape(object):
             for p, pg in zip(node.parents, pgrads):
                 if pg is None:
                     continue
+                if type(p) is _View:
+                    p = p.base
+                    pg = pg.reshape(p.data.shape)
                 pid = id(p)
                 if pid in grads:
                     grads[pid] = grads[pid] + pg
@@ -414,6 +436,63 @@ def matmul(a, b):
     return _finish("matmul", out, (a, b), vjp)
 
 
+def _rows_matmul(a, w, trainable):
+    """(rows, N) product of a's rows, flattened over its leading axes, with w.
+
+    a's first axis counts images; with frozen weights (not trainable) each
+    image gets its own gemm at the single-image shape (see the module note).
+    """
+    k = a.shape[-1]
+    if not trainable and a.ndim > 2 and a.shape[0] > 1:
+        return np.matmul(a.reshape(a.shape[0], -1, k), w).reshape(-1, w.shape[1])
+    return np.matmul(a.reshape(-1, k), w)
+
+
+def _affine(op, x, w, b, temb):
+    """x @ w + b (+ temb) over the last axis of x, as a (rows, N) array."""
+    xd, wd, bd = x.data, w.data, b.data
+    td = None if temb is None else temb.data
+    if (xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]
+            or bd.shape != wd.shape[1:]
+            or (td is not None and td.shape != wd.shape[1:])):
+        raise ShapeMismatchError(op, xd.shape, wd.shape, bd.shape,
+                                 () if td is None else td.shape)
+    y = _rows_matmul(xd, wd, w.requires_grad)
+    y += bd
+    if td is not None:
+        y += td
+    return y
+
+
+def _affine_vjp(x, w, b, gy, needs):
+    """Parent gradients of _affine from gy, the gradient of its result
+    shaped like x with the last axis mapped through w."""
+    xd, wd = x.data, w.data
+    gx = (_rows_matmul(gy, wd.T, w.requires_grad).reshape(xd.shape)
+          if needs[0] else None)
+    gy = gy.reshape(-1, wd.shape[1])
+    gw = np.matmul(xd.reshape(-1, wd.shape[0]).T, gy) if needs[1] else None
+    # b and temb are both added to every row, so they share one column sum
+    col = _unbroadcast(gy, b.shape) if any(needs[2:]) else None
+    return (gx, gw) + tuple(col if n else None for n in needs[2:])
+
+
+def dense(x, w, b):
+    """x @ w + b over the last axis of x, as one tape node.
+
+    Same float32 operations in the same order as the unfused
+    reshape/matmul/add/reshape chain, so values and gradients match it bit
+    for bit.
+    """
+    out = _affine("dense", x, w, b, None)
+    out = out.reshape(x.data.shape[:-1] + w.data.shape[1:])
+
+    def vjp(g, needs):
+        return _affine_vjp(x, w, b, g, needs)
+
+    return _finish("dense", out, (x, w, b), vjp)
+
+
 def dense_silu(x, w, b, temb=None):
     """silu(x @ w + b + temb) over the last axis of x, as one tape node.
 
@@ -423,35 +502,18 @@ def dense_silu(x, w, b, temb=None):
     the sigmoid are kept for backward. One finite check covers every step,
     because a NaN or Inf in any of them reaches the output.
     """
-    xd, wd, bd = x.data, w.data, b.data
-    td = None if temb is None else temb.data
-    if (xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]
-            or bd.shape != wd.shape[1:]
-            or (td is not None and td.shape != wd.shape[1:])):
-        raise ShapeMismatchError("dense_silu", xd.shape, wd.shape, bd.shape,
-                                 () if td is None else td.shape)
-    out_shape = xd.shape[:-1] + wd.shape[1:]
-    flat = xd.reshape(-1, wd.shape[0])
-    y = np.matmul(flat, wd)
-    y += bd
-    if td is not None:
-        y += td
+    y = _affine("dense_silu", x, w, b, temb)
     sig = np.negative(y)
     np.exp(sig, out=sig)
     sig += _F32(1.0)
     np.divide(_F32(1.0), sig, out=sig)
     y *= sig
+    out_shape = x.data.shape[:-1] + w.data.shape[1:]
     out = y.reshape(out_shape)
     sig = sig.reshape(out_shape)
 
     def vjp(g, needs):
-        gy = g * (sig + out * (_F32(1.0) - sig))
-        gy = gy.reshape(flat.shape[0], -1)
-        gx = np.matmul(gy, wd.T).reshape(xd.shape) if needs[0] else None
-        gw = np.matmul(flat.T, gy) if needs[1] else None
-        # b and temb are both added to every row, so they share one column sum
-        col = _unbroadcast(gy, bd.shape) if any(needs[2:]) else None
-        return (gx, gw) + tuple(col if n else None for n in needs[2:])
+        return _affine_vjp(x, w, b, g * (sig + out * (_F32(1.0) - sig)), needs)
 
     parents = (x, w, b) if temb is None else (x, w, b, temb)
     return _finish("dense_silu", out, parents, vjp)
@@ -477,8 +539,7 @@ def attention_probs(x, pm, wq, wk, scale):
     bsz, s, d = pd.shape
     flat = xd.reshape(bsz, -1, xd.shape[-1])
     q = np.matmul(flat, qd)
-    pm2 = pd.reshape(bsz * s, d)
-    k2 = np.matmul(pm2, kd)
+    k2 = _rows_matmul(pd, kd, wk.requires_grad)
     kt = np.ascontiguousarray(np.transpose(k2.reshape(bsz, s, -1), (0, 2, 1)))
     s32 = _F32(scale)
     y = np.matmul(q, kt)
@@ -506,9 +567,10 @@ def attention_probs(x, pm, wq, wk, scale):
             gk2 = np.transpose(np.matmul(q.swapaxes(-1, -2), gs),
                                (0, 2, 1)).reshape(k2.shape)
             if needs[1]:
-                gp = np.matmul(gk2, kd.swapaxes(-1, -2)).reshape(pd.shape)
+                gp = _rows_matmul(gk2.reshape(bsz, s, -1), kd.T,
+                                  wk.requires_grad).reshape(pd.shape)
             if needs[3]:
-                gk = np.matmul(pm2.swapaxes(-1, -2), gk2)
+                gk = np.matmul(pd.reshape(bsz * s, d).T, gk2)
         return gx, gp, gq, gk
 
     return _finish("attention_probs", y, (x, pm, wq, wk), vjp, check=False)
@@ -532,8 +594,7 @@ def attend(x, attn, pm, wv):
     if (xd.shape[0] != bsz or atd.shape != (bsz, n, s)
             or vd.shape != (d, xd.shape[-1])):
         raise ShapeMismatchError("attend", *shapes)
-    pm2 = pd.reshape(bsz * s, d)
-    v2 = np.matmul(pm2, vd)
+    v2 = _rows_matmul(pd, vd, wv.requires_grad)
     v = v2.reshape(bsz, s, -1)
     av = np.matmul(atd, v)
     out = xd + av.reshape(xd.shape)
@@ -545,9 +606,10 @@ def attend(x, attn, pm, wv):
         if needs[2] or needs[3]:
             gv2 = np.matmul(atd.swapaxes(-1, -2), gav).reshape(v2.shape)
             if needs[2]:
-                gp = np.matmul(gv2, vd.swapaxes(-1, -2)).reshape(pd.shape)
+                gp = _rows_matmul(gv2.reshape(bsz, s, -1), vd.T,
+                                  wv.requires_grad).reshape(pd.shape)
             if needs[3]:
-                gw = np.matmul(pm2.swapaxes(-1, -2), gv2)
+                gw = np.matmul(pd.reshape(bsz * s, d).T, gv2)
         return (g if needs[0] else None), ga, gp, gw
 
     return _finish("attend", out, (x, attn, pm, wv), vjp)
@@ -619,17 +681,22 @@ def l2_sq_distance(a, b):
 # ---------------------------------------------------------------------------
 
 def reshape(x, shape):
+    """x's data under a new shape, as a view that records no tape node.
+
+    Backward passes the gradients of the view's consumers on to x (or to
+    the tensor x itself views), as a reshape node would.
+    """
     xd = x.data
     shape = tuple(shape)
     try:
         out = xd.reshape(shape)
     except ValueError:
         raise ShapeMismatchError("reshape", xd.shape, shape)
-
-    def vjp(g, needs):
-        return (g.reshape(xd.shape) if needs[0] else None,)
-
-    return _finish("reshape", out, (x,), vjp, check=False)
+    view = object.__new__(_View)
+    view.data = out
+    view.requires_grad = x.requires_grad
+    view.base = x.base if type(x) is _View else x
+    return view
 
 
 def transpose(x, axes=None):

@@ -188,12 +188,6 @@ class DenoiserModel:
 
     # -- blocks ---------------------------------------------------------------
 
-    def _dense(self, x4, w, b):
-        bsz, h, wd, c = x4.shape
-        flat = ad.reshape(x4, (bsz * h * wd, c))
-        y = ad.add(ad.matmul(flat, self.params[w]), self.params[b])
-        return ad.reshape(y, (bsz, h, wd, y.shape[-1]))
-
     def _cross_attention(self, x4, pm, prefix, record):
         attn = ad.attention_probs(x4, pm, self.params[prefix + "_q"],
                                   self.params[prefix + "_k"],
@@ -229,26 +223,32 @@ class DenoiserModel:
 
         pos = self._pos_cache.get(xb.shape[0])
         if pos is None:
+            # a read-only broadcast view: concat copies it, nothing writes it
             single = positional_channels(size)
-            pos = Tensor(np.broadcast_to(
-                single, (xb.shape[0],) + single.shape).copy())
+            pos = Tensor._wrap(np.broadcast_to(
+                single, (xb.shape[0],) + single.shape), False)
             self._pos_cache[xb.shape[0]] = pos
-        xb = ad.concat([xb, pos], axis=-1)
 
-        h0 = self._level(xb, t, "enc0")
+        h0 = self._level(ad.concat([xb, pos], axis=-1), t, "enc0")
         h0 = ad.dense_silu(h0, self.params["enc0b_w"], self.params["enc0b_b"])
         h1 = self._level(ad.avgpool2x(h0), t, "enc1")
         h1 = self._cross_attention(h1, pm, "attn1", record)
         h2 = self._level(ad.avgpool2x(h1), t, "enc2")
         h2 = self._cross_attention(h2, pm, "attn2", record)
-        bottleneck = h2
-
-        d1 = self._level(ad.upsample_concat(h2, h1), t, "dec1")
-        d0 = self._level(ad.upsample_concat(d1, h0), t, "dec0")
-        eps = self._dense(d0, "head_w", "head_b")
+        # drop each skip once its decoder input is built, so the peak of an
+        # untaped forward holds no dead buffer (a tape keeps what it needs)
+        x = ad.upsample_concat(h2, h1)
+        del h1
+        d1 = self._level(x, t, "dec1")
+        del x
+        x = ad.upsample_concat(d1, h0)
+        del d1, h0
+        d0 = self._level(x, t, "dec0")
+        del x
+        eps = ad.dense(d0, self.params["head_w"], self.params["head_b"])
 
         if return_features:
-            return eps, record, bottleneck
+            return eps, record, h2
         return eps, record
 
 

@@ -23,7 +23,7 @@ from imukit.diffusion.dataset import (
 )
 from imukit.diffusion.io import load_model, save_model
 from imukit.diffusion.model import DenoiserModel, ModelConfig, predict_noise
-from imukit.diffusion.sampling import edit
+from imukit.diffusion.sampling import edit, edit_batch
 from imukit.diffusion.schedule import build_schedule, forward_diffuse
 from imukit.diffusion.text import encode_caption
 from imukit.diffusion.training import train
@@ -401,20 +401,6 @@ def _edit_rng(cfg, idx, pidx):
         np.random.SeedSequence([cfg.seed, _ROLE_EDIT, idx, pidx]))
 
 
-def _edit_once(edits, model, cfg, idx, pidx, prompt, x):
-    """edit() under the (image, prompt) pair's seed, once per distinct input.
-
-    Every edit of one pair draws the same sampler noise, so equal input
-    bytes give equal outputs; edits maps the input bytes to the output for
-    one pair and is filled on first use.
-    """
-    x = np.asarray(x, dtype=np.float32)
-    key = (x.shape, x.tobytes())
-    if key not in edits:
-        edits[key] = edit(model, x, prompt, cfg.t_edit, _edit_rng(cfg, idx, pidx))
-    return edits[key]
-
-
 def _evaluate_rows(model, cfg, paths, items, methods, indices=None, keep=None):
     """Defense + imperceptibility metric rows with shared edit randomness.
 
@@ -423,7 +409,7 @@ def _evaluate_rows(model, cfg, paths, items, methods, indices=None, keep=None):
     perturbation alone. It also makes an immunized image equal to x0 (the
     `none` method) edit to the clean edit, so each distinct input of a pair
     is edited once, and each distinct image of one item gets one
-    percep_dist feature pass.
+    percep_dist feature pass. All edits of one item run as one edit_batch.
 
     keep, when given, is a dict keyed by item index; each of its entries is
     set to (feature dict, {prompt index: (prompt, clean edit)}) for callers
@@ -435,23 +421,29 @@ def _evaluate_rows(model, cfg, paths, items, methods, indices=None, keep=None):
         item = items[idx]
         x0 = item.image
         features = {}
-        clean_edits = {}
-        imu_images = {}
         imperc = {}
+        # distinct edit inputs by float32 bytes, x0 first
+        inputs = [x0]
+        seen = {(x0.shape, x0.tobytes()): 0}
+        input_of = {}
         for method in methods:
             x_imu = read_ppm(paths.immunized_image(method, idx))
-            imu_images[method] = x_imu
-            rep = full_report(x0, x_imu, model, features)
-            imperc[method] = rep.to_dict()
-        for pidx, caption in _prompts_for(cfg, item):
-            prompt = model.encode_prompt(encode_caption(caption))
-            edits = {}
-            clean_out = _edit_once(edits, model, cfg, idx, pidx, prompt, x0)
+            imperc[method] = full_report(x0, x_imu, model, features).to_dict()
+            key = (x_imu.shape, x_imu.tobytes())
+            if key not in seen:
+                seen[key] = len(inputs)
+                inputs.append(x_imu)
+            input_of[method] = seen[key]
+        prompts = [(pidx, caption, model.encode_prompt(encode_caption(caption)))
+                   for pidx, caption in _prompts_for(cfg, item)]
+        edits = edit_batch(model, [(prompt, _edit_rng(cfg, idx, pidx), inputs)
+                                   for pidx, _, prompt in prompts], cfg.t_edit)
+        clean_edits = {}
+        for (pidx, caption, prompt), outs in zip(prompts, edits):
+            clean_out = outs[0]
             clean_edits[pidx] = (prompt, clean_out)
             for method in methods:
-                imu_out = _edit_once(edits, model, cfg, idx, pidx, prompt,
-                                     imu_images[method])
-                defense = full_report(clean_out, imu_out, model, features)
+                defense = full_report(clean_out, outs[input_of[method]], model, features)
                 row = {"image": idx, "prompt_idx": pidx, "prompt": caption,
                        "method": method}
                 for m in METRIC_NAMES:
@@ -472,6 +464,10 @@ def _pool_evaluate(args):
 
 def _write_heatmaps(model, cfg, paths, items, methods):
     paths.heatmaps_dir.mkdir(parents=True, exist_ok=True)
+    # heatmap_images is not in the config hash, so a rerun with fewer images
+    # writes into this directory: clear the maps of earlier calls first
+    for stale in paths.heatmaps_dir.glob("img_*"):
+        stale.unlink()
     ts = resolve_timesteps(cfg.attack, model.schedule)
     t_h = ts[len(ts) // 2]
     variants = [("clean", None)]

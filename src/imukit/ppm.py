@@ -46,7 +46,11 @@ def read_ppm(path):
     if maxval != 255:
         raise ValueError(f"read_ppm: {path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=h * w * 3, offset=pos)
+    expected, actual = h * w * 3, max(len(raw) - pos, 0)
+    if actual < expected:
+        raise ValueError(f"read_ppm: {path}: truncated payload: expected {expected} "
+                         f"bytes, got {actual}")
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=expected, offset=pos)
     return (pixels.reshape(h, w, 3).astype(np.float32)) / np.float32(255.0)
 
 

@@ -68,13 +68,13 @@ def ref_test_items(ref_cfg):
 
 @pytest.fixture()
 def forward_calls(monkeypatch):
-    """A list that grows by one at every DenoiserModel.forward_batch call."""
+    """A list that grows by the batch size of every DenoiserModel.forward_batch call."""
     calls = []
     original = DenoiserModel.forward_batch
 
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return original(self, *args, **kwargs)
+    def counting(self, xb, *args, **kwargs):
+        calls.append(xb.shape[0])
+        return original(self, xb, *args, **kwargs)
 
     monkeypatch.setattr(DenoiserModel, "forward_batch", counting)
     return calls

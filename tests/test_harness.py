@@ -10,14 +10,14 @@ from conftest import tiny_experiment
 from imukit.harness.cli import build_parser, load_config, main
 from imukit.harness.config import ConfigError, ExperimentConfig, config_hash
 from imukit.harness.pipeline import (
-    ABLATION_METHODS, MissingArtifactError, _edit_rng, _evaluate_rows, _prompts_for, cmd_ablate,
-    cmd_evaluate, cmd_gen_data, cmd_immunize, cmd_report, cmd_train, load_split,
-    method_attack_config, run_paths,
+    ABLATION_METHODS, MissingArtifactError, _edit_rng, _evaluate_rows, _prompts_for,
+    _write_heatmaps, cmd_ablate, cmd_evaluate, cmd_gen_data, cmd_immunize, cmd_report,
+    cmd_train, load_split, method_attack_config, run_paths,
 )
 from imukit.harness.artifacts import read_delta, read_json
 from imukit.harness.tables import METRIC_NAMES, read_csv
 from imukit.diffusion.io import load_model, save_model
-from imukit.diffusion.sampling import edit
+from imukit.diffusion.sampling import EDIT_ROWS, edit
 from imukit.diffusion.text import encode_caption
 from imukit.metrics import full_report
 from imukit.ppm import read_ppm
@@ -269,7 +269,11 @@ def test_evaluate_rows_edit_and_feature_pass_counts(tiny_run, forward_calls):
     # three distinct edits per prompt
     distinct_edits = n_prompts * 3
     distinct_percep = 3 + n_prompts * 3
-    assert len(forward_calls) == cfg.n_test * (cfg.t_edit * distinct_edits + distinct_percep)
+    assert sum(forward_calls) == cfg.n_test * (cfg.t_edit * distinct_edits + distinct_percep)
+    # each item's edits step together, EDIT_ROWS rows per forward
+    chunks = -(-distinct_edits // EDIT_ROWS)
+    assert len(forward_calls) == cfg.n_test * (chunks * cfg.t_edit + distinct_percep) == 171
+    assert max(forward_calls) == EDIT_ROWS
 
     # the shared passes give the rows that independent passes give
     want = []
@@ -304,6 +308,22 @@ def test_evaluate_heatmaps_written(tiny_run):
     assert "img_000_clean_attention.ppm" in files
     assert "img_000_clean_mask.ppm" in files
     assert "img_000_danp.json" in files
+
+
+def test_evaluate_heatmaps_drop_maps_beyond_the_current_count(tiny_run, tmp_path):
+    cfg = dataclasses.replace(tiny_run, out_dir=str(tmp_path))
+    shutil.copytree(run_paths(tiny_run).root, run_paths(cfg).root)
+    paths = run_paths(cfg)
+    items = load_split(paths, "test")
+    model = load_model(paths.model_bin)
+    written = {}
+    for n in (3, 1):
+        run = dataclasses.replace(cfg, heatmap_images=n)
+        assert config_hash(run) == config_hash(tiny_run)
+        _write_heatmaps(model, run, paths, items, run.methods)
+        written[n] = sorted(p.name for p in paths.heatmaps_dir.iterdir())
+    assert {name[:7] for name in written[3]} == {"img_000", "img_001", "img_002"}
+    assert written[1] == [name for name in written[3] if name.startswith("img_000_")]
 
 
 def test_evaluate_missing_artifacts_listed(tmp_path):

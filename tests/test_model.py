@@ -144,6 +144,13 @@ def _unfused_cross_attention(model, x4, pm, prefix, maps):
     return ad.add(x4, out)
 
 
+def _unfused_dense(model, x4, w, b):
+    bsz, h, wd, c = x4.shape
+    flat = ad.reshape(x4, (bsz * h * wd, c))
+    y = ad.add(ad.matmul(flat, model.params[w]), model.params[b])
+    return ad.reshape(y, (bsz, h, wd, y.shape[-1]))
+
+
 def _unfused_forward(model, xb, t, pm, maps):
     """DenoiserModel.forward_batch written with one primitive per step."""
     size = model.config.image_size
@@ -151,14 +158,14 @@ def _unfused_forward(model, xb, t, pm, maps):
                           (xb.shape[0], size, size, N_POS_CHANNELS))
     x = ad.concat([xb, Tensor(pos)], axis=-1)
     h0 = model._level(x, t, "enc0")
-    h0 = ad.silu(model._dense(h0, "enc0b_w", "enc0b_b"))
+    h0 = ad.silu(_unfused_dense(model, h0, "enc0b_w", "enc0b_b"))
     h1 = model._level(ad.avgpool2x(h0), t, "enc1")
     h1 = _unfused_cross_attention(model, h1, pm, "attn1", maps)
     h2 = model._level(ad.avgpool2x(h1), t, "enc2")
     h2 = _unfused_cross_attention(model, h2, pm, "attn2", maps)
     d1 = model._level(ad.concat([ad.upsample2x(h2), h1], axis=-1), t, "dec1")
     d0 = model._level(ad.concat([ad.upsample2x(d1), h0], axis=-1), t, "dec0")
-    return model._dense(d0, "head_w", "head_b")
+    return _unfused_dense(model, d0, "head_w", "head_b")
 
 
 @pytest.mark.parametrize("bsz,trainable", [(1, False), (1, True), (64, False), (64, True)])
@@ -202,3 +209,36 @@ def test_forward_and_gradients_bitwise_match_unfused_chain(bsz, trainable):
     for a, b in zip(fused_vals + fused_grads, chain_vals + chain_grads):
         assert a.dtype == b.dtype == np.float32
         assert np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def frozen_default_model():
+    model = DenoiserModel.init(ModelConfig(), seed=8, schedule=build_schedule(50))
+    model.set_trainable(False)
+    return model
+
+
+@pytest.mark.parametrize("bsz", [1, 2, 7, 18])
+def test_frozen_forward_rows_are_batch_invariant(frozen_default_model, bsz):
+    """Row i of a frozen-weight batch, each row under its own prompt, has the
+    bits of that row's single-image forward, and so does its input gradient:
+    the frozen gemms over rows flattened across images run per image."""
+    model = frozen_default_model
+    gen = np.random.default_rng(bsz)
+    xs = gen.random((bsz, 32, 32, 3)).astype(np.float32)
+    pms = np.stack([model.encode_prompt(ids).matrix.data
+                    for ids in gen.integers(1, 22, size=(bsz, 8))])
+    w = gen.normal(size=xs.shape).astype(np.float32)
+
+    def run(rows):
+        x = Tensor(xs[rows], requires_grad=True)
+        with Tape() as tape:
+            eps, _ = model.forward_batch(x, 23, Tensor(pms[rows]))
+            loss = ad.sum_(ad.mul(eps, Tensor(w[rows])))
+        return eps.data, tape.backward(loss)[x]
+
+    eps, grad = run(slice(None))
+    for i in range(bsz):
+        eps1, grad1 = run(slice(i, i + 1))
+        assert np.array_equal(eps[i], eps1[0])
+        assert np.array_equal(grad[i], grad1[0])

@@ -53,3 +53,15 @@ def test_heatmap_constant_input(tmp_path):
     write_heatmap_ppm(tmp_path / "flat.ppm", np.ones((4, 4)))
     img = read_ppm(tmp_path / "flat.ppm")
     assert img.shape == (4, 4, 3)
+
+
+def test_truncated_payload_names_the_file_and_byte_counts(tmp_path, rng):
+    img = rng.random((4, 5, 3)).astype(np.float32)
+    path = tmp_path / "cut.ppm"
+    write_ppm(path, img)
+    path.write_bytes(path.read_bytes()[:-7])
+    with pytest.raises(ValueError) as err:
+        read_ppm(path)
+    msg = str(err.value)
+    assert str(path) in msg
+    assert "expected 60 bytes, got 53" in msg

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from imukit.diffusion import DenoiserModel, ModelConfig, build_schedule, edit, reverse_step
+from imukit.diffusion.sampling import EDIT_ROWS, edit_batch
 
 
 @pytest.fixture()
@@ -102,3 +103,32 @@ def test_edit_shifts_color_toward_caption(ref_model, ref_test_items):
         drops.append(before - after)
         print(f"red->blue edit: r-b {before:.3f} -> {after:.3f}")
     assert max(drops) > 0.3
+
+
+@pytest.mark.parametrize("t_edit", [0, 3])
+def test_edit_batch_equals_edit_per_row(t_edit):
+    """Every output of the lockstep batch is bit for bit the one-row edit
+    under a fresh copy of its pair's rng, across forward chunks and for a
+    pair whose inputs repeat; t_edit = 0 draws nothing."""
+    model = DenoiserModel.init(ModelConfig(), seed=4, schedule=build_schedule(50))
+    model.set_trainable(False)
+    gen = np.random.default_rng(21)
+    images = [gen.uniform(-0.1, 1.1, (32, 32, 3)).astype(np.float32) for _ in range(4)]
+    prompts = [model.encode_prompt(gen.integers(1, 22, size=8)) for _ in range(3)]
+    inputs = [[images[0], images[1], images[2]],
+              [images[3], images[3]],           # duplicate inputs share the draws
+              [images[0], images[2], images[1], images[3]]]
+    assert sum(map(len, inputs)) > EDIT_ROWS
+
+    def rng(p):
+        return np.random.default_rng(np.random.SeedSequence([9, p]))
+
+    rngs = [rng(p) for p in range(3)]
+    outs = edit_batch(model, list(zip(prompts, rngs, inputs)), t_edit)
+    assert [len(o) for o in outs] == [len(i) for i in inputs]
+    for p, (prompt, xs) in enumerate(zip(prompts, inputs)):
+        for x, got in zip(xs, outs[p]):
+            assert np.array_equal(got, edit(model, x, prompt, t_edit, rng(p)))
+    assert np.array_equal(outs[1][0], outs[1][1])
+    if t_edit == 0:
+        assert all(r.random() == rng(p).random() for p, r in enumerate(rngs))
