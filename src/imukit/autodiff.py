@@ -15,10 +15,21 @@ OpenBLAS picks its gemm kernel by row count, so one gemm over all images'
 rows can give a row other bits than the same image alone (dec1's K=56
 contraction does from B=3 on); per image, a row's bits do not depend on the
 rows that share its batch. Trainable weights keep one gemm over the batch.
+
+Importing this module sets glibc's malloc policy for the whole process:
+freed blocks up to 32 MiB (glibc's 64-bit cap on M_MMAP_THRESHOLD) come
+from the heap instead of their own mappings, and the heap is trimmed only
+once 1 GiB at its top is free. A training step frees multi-MB activations
+and gradients that the next step allocates again; under glibc's defaults
+those pages go back to the OS (unmapped or trimmed) and the next step
+zero-fills them anew, about 14,000 page faults per B=64 step of the default
+model. The policy changes no value. Where the C library has no mallopt
+(anything but glibc) or rejects a setting, it does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 
 import numpy as np
@@ -34,6 +45,24 @@ __all__ = [
 
 _F32 = np.float32
 _F64 = np.float64
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_pages():
+    """Keep freed heap pages mapped so later allocations reuse them."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_keep_freed_pages()
 
 
 class ShapeMismatchError(ValueError):
@@ -192,6 +221,9 @@ class Tape(object):
             loss = ...                 # ops on requires_grad tensors record here
         grads = tape.backward(loss)    # {leaf Tensor: float32 ndarray}
 
+    backward consumes the tape: it leaves tape.nodes empty, and the
+    activations only the tape held are freed as it goes.
+
     A tape and its tensors belong to a single thread; independent tapes may
     run concurrently.
     """
@@ -208,26 +240,29 @@ class Tape(object):
         return False
 
     def backward(self, root):
-        """Reverse sweep from a scalar root.
+        """Reverse sweep from a scalar root, consuming the tape.
 
         Returns gradients for every requires_grad leaf reached from the root,
         keyed by the leaf Tensor itself. Contributions from multiple consumers
-        accumulate; each node is visited exactly once.
+        accumulate. Each node is popped off the tape as its vjp runs and each
+        intermediate gradient is dropped once its node has used it, so only
+        the leaves stay referenced until the sweep returns; afterwards the
+        tape is empty and a second backward raises GradientError.
         """
         if not isinstance(root, Tensor) or root.data.shape != ():
             raise GradientError("backward: root must be a scalar Tensor")
         if type(root) is _View:
             root = root.base
-        if not self.nodes:
+        nodes = self.nodes
+        if not nodes:
             raise GradientError("backward: tape is empty")
-        produced = {id(n.out) for n in self.nodes}
-        if id(root) not in produced:
+        if not any(n.out is root for n in nodes):
             raise GradientError("backward: root was not computed on this tape")
 
-        grads = {id(root): np.ones(root.data.shape, dtype=_F32)}
-        holders = {}
-        for node in reversed(self.nodes):
-            g = grads.get(id(node.out))
+        grads = {root: np.ones(root.data.shape, dtype=_F32)}
+        while nodes:
+            node = nodes.pop()
+            g = grads.pop(node.out, None)
             if g is None:
                 continue
             needs = tuple(p.requires_grad for p in node.parents)
@@ -238,16 +273,15 @@ class Tape(object):
                 if type(p) is _View:
                     p = p.base
                     pg = pg.reshape(p.data.shape)
-                pid = id(p)
-                if pid in grads:
-                    grads[pid] = grads[pid] + pg
+                if p in grads:
+                    grads[p] = grads[p] + pg
                 else:
-                    grads[pid] = pg
-                    holders[pid] = p
+                    grads[p] = pg
+        # each produced tensor's gradient was popped at its node; leaves remain
         return {
-            t: _c_contig(np.asarray(grads[i], dtype=_F32))
-            for i, t in holders.items()
-            if t.requires_grad and i not in produced
+            t: _c_contig(np.asarray(g, dtype=_F32))
+            for t, g in grads.items()
+            if t.requires_grad
         }
 
 
@@ -600,7 +634,7 @@ def attend(x, attn, pm, wv):
     out = xd + av.reshape(xd.shape)
 
     def vjp(g, needs):
-        gav = g.reshape(av.shape)
+        gav = g.reshape(bsz, n, -1)
         ga = np.matmul(gav, v.swapaxes(-1, -2)) if needs[1] else None
         gp = gw = None
         if needs[2] or needs[3]:
@@ -621,22 +655,24 @@ def attend(x, attn, pm, wv):
 
 def sum_(x, axis=None):
     xd = x.data
+    shape = xd.shape
     out = xd.sum(axis=axis, dtype=_F64).astype(_F32)
 
     def vjp(g, needs):
         if not needs[0]:
             return (None,)
         if axis is None:
-            return (np.broadcast_to(g, xd.shape).astype(_F32),)
+            return (np.broadcast_to(g, shape).astype(_F32),)
         ge = np.expand_dims(g, axis)
-        return (np.broadcast_to(ge, xd.shape).astype(_F32),)
+        return (np.broadcast_to(ge, shape).astype(_F32),)
 
     return _finish("sum", out, (x,), vjp)
 
 
 def mean_(x, axis=None):
     xd = x.data
-    count = xd.size if axis is None else xd.shape[axis]
+    shape = xd.shape
+    count = xd.size if axis is None else shape[axis]
     out = (xd.sum(axis=axis, dtype=_F64) / count).astype(_F32)
 
     def vjp(g, needs):
@@ -644,9 +680,9 @@ def mean_(x, axis=None):
             return (None,)
         gs = g / _F32(count)
         if axis is None:
-            return (np.broadcast_to(gs, xd.shape).astype(_F32),)
+            return (np.broadcast_to(gs, shape).astype(_F32),)
         ge = np.expand_dims(gs, axis)
-        return (np.broadcast_to(ge, xd.shape).astype(_F32),)
+        return (np.broadcast_to(ge, shape).astype(_F32),)
 
     return _finish("mean", out, (x,), vjp)
 

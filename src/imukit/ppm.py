@@ -42,7 +42,11 @@ def read_ppm(path):
         fields.append(raw[start:pos])
     if fields[0] != b"P6":
         raise ValueError(f"read_ppm: {path}: not a binary PPM (P6) file")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    for name, value in zip(("width", "height", "maxval"), fields[1:]):
+        if not value.isdigit():
+            raise ValueError(f"read_ppm: {path}: header {name} "
+                             f"{value.decode('ascii', 'replace')!r} is not a number")
+    w, h, maxval = map(int, fields[1:])
     if maxval != 255:
         raise ValueError(f"read_ppm: {path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace after maxval

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,22 @@ def test_backward_contracts():
         ad.scale(x, 1.0)
     with pytest.raises(GradientError):
         other.backward(y)  # root not computed on this tape
+
+
+def test_backward_consumes_the_tape():
+    x = Tensor(RNG.normal(size=(8, 16)).astype(np.float32), requires_grad=True)
+    w = Tensor(RNG.normal(size=(16, 16)).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        h = ad.dense_silu(x, w, Tensor(np.zeros(16, dtype=np.float32)))
+        loss = ad.sum_(ad.square(h))
+    activation = weakref.ref(h.data)
+    del h
+    grads = tape.backward(loss)
+    assert set(grads) == {x, w}
+    assert tape.nodes == []
+    assert activation() is None  # freed with its node, though the tape lives
+    with pytest.raises(GradientError):
+        tape.backward(loss)
 
 
 def test_gradient_map_contains_only_requires_grad_leaves():

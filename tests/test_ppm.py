@@ -65,3 +65,17 @@ def test_truncated_payload_names_the_file_and_byte_counts(tmp_path, rng):
     msg = str(err.value)
     assert str(path) in msg
     assert "expected 60 bytes, got 53" in msg
+
+
+@pytest.mark.parametrize("raw,field", [
+    (b"P6\n4 ", "height ''"),
+    (b"P6\nx 4\n255\n", "width 'x'"),
+], ids=["cut-short", "non-numeric"])
+def test_bad_header_field_names_the_file_and_field(tmp_path, raw, field):
+    path = tmp_path / "head.ppm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as err:
+        read_ppm(path)
+    msg = str(err.value)
+    assert str(path) in msg
+    assert f"header {field} is not a number" in msg

@@ -1,3 +1,6 @@
+import platform
+import resource
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from imukit.diffusion import (
     DenoiserModel, ModelConfig, TrainConfig, TrainingDiverged, build_schedule,
     make_dataset, train,
 )
-from imukit.diffusion.training import _mc_loss, _stacked, evaluate_loss
+from imukit.diffusion.training import Adam, _mc_loss, _stacked, evaluate_loss
 from oracles import fd_agreement, numeric_grad
 
 
@@ -123,3 +126,27 @@ def test_training_loss_gradient_matches_fd_on_slice(rng):
 
     want = numeric_grad(f, base[:10, 0].astype(np.float64), h=1e-3)
     assert fd_agreement(got, want, rel=1e-3, floor=1e-5) >= 0.99
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the malloc policy acts on glibc only")
+def test_train_steps_reuse_freed_heap_pages(monkeypatch):
+    """Default model at B=64: once warm, a train step reuses the pages the
+    previous step freed. Under glibc's default malloc policy every step
+    faults in thousands of fresh pages."""
+    model = DenoiserModel.init(ModelConfig(), seed=0, schedule=build_schedule(50))
+    faults = []
+    step = Adam.step
+
+    def counting(self, grads):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        return step(self, grads)
+
+    monkeypatch.setattr(Adam, "step", counting)
+    train(model, make_dataset(0, 0, 8),
+          TrainConfig(steps=6, batch_size=64, eval_every=10**6))
+    # from one update to the next: an update plus a forward and backward;
+    # the first two are warm-up
+    per_step = np.diff(faults)[2:]
+    assert len(per_step) == 3
+    assert (per_step < 1000).all(), per_step
