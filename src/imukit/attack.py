@@ -103,7 +103,7 @@ def daa_loss(agg, mask, lambda_daa):
 
 def nba_loss(eps_clean, eps_imu):
     """Negated squared L2 distance between the two noise predictions."""
-    return ad.neg(ad.l2_sq_distance(eps_clean, eps_imu))
+    return ad.scale(ad.l2_sq_distance(eps_clean, eps_imu), -1.0)
 
 
 def total_loss(x0, delta, model, prompt, t, shared_eps, *,
@@ -160,9 +160,9 @@ def total_loss(x0, delta, model, prompt, t, shared_eps, *,
         raw = nba_loss(stop_gradient(eps_clean), eps_imu)
         comps["nba_raw"] = raw.item()
         # bring the noise term to the attention term's magnitude: mean, not sum
-        scale = lambda_nba / raw_numel(eps_imu)
+        scale = lambda_nba / eps_imu.size
         terms.append(ad.scale(raw, scale))
-        comps["nba"] = comps["nba_raw"] / raw_numel(eps_imu)
+        comps["nba"] = comps["nba_raw"] / eps_imu.size
 
     comps["total"] = comps["daa"] + lambda_nba * comps["nba"]
     if not terms:
@@ -171,10 +171,6 @@ def total_loss(x0, delta, model, prompt, t, shared_eps, *,
     for extra in terms[1:]:
         loss = ad.add(loss, extra)
     return loss, comps
-
-
-def raw_numel(t):
-    return int(np.prod(t.shape))
 
 
 def _project(delta, x0, gamma):

@@ -39,10 +39,6 @@ class KapurHistogram:
             raise ValueError(f"histogram mass {p.sum()} != 1 within 1e-9")
         object.__setattr__(self, "bins", p)
 
-    @property
-    def levels(self):
-        return self.bins.size
-
 
 @dataclass
 class AggregatedAttention:
@@ -111,7 +107,7 @@ def aggregate(record, prompt):
         return AggregatedAttention(map=zero, pre_norm=pre,
                                    token_indices=tuple(int(i) for i in token_idx),
                                    degenerate=True)
-    norm = ad.constant((pre.data - lo) / (hi - lo))
+    norm = Tensor((pre.data - lo) / (hi - lo))
     return AggregatedAttention(map=norm, pre_norm=pre,
                                token_indices=tuple(int(i) for i in token_idx),
                                degenerate=False)

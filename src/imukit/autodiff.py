@@ -37,10 +37,9 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "ShapeMismatchError", "NonFiniteError", "GradientError",
     "add", "sub", "mul", "matmul", "dense", "dense_silu", "attention_probs",
-    "attend", "scale", "neg", "relu", "silu", "softmax",
-    "sum_", "mean_", "square", "sqrt", "reshape", "transpose", "concat",
-    "getitem", "upsample2x", "upsample_concat", "avgpool2x", "frobenius_sq",
-    "l2_sq_distance", "stop_gradient", "constant",
+    "attend", "scale", "silu", "softmax", "sum_", "mean_", "square",
+    "reshape", "transpose", "concat", "upsample2x", "upsample_concat",
+    "avgpool2x", "frobenius_sq", "l2_sq_distance", "stop_gradient",
 ]
 
 _F32 = np.float32
@@ -126,55 +125,8 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def numpy(self):
-        """Read-only view of the stored array."""
-        v = self.data.view()
-        v.flags.writeable = False
-        return v
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; scalars are wrapped as 0-d constants
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-
-def constant(data):
-    """Tensor with requires_grad=False."""
-    return Tensor(data, requires_grad=False)
-
-
-def _coerce(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=_F32))
 
 
 class _View(Tensor):
@@ -378,19 +330,6 @@ def scale(x, s):
     return _finish("scale", x.data * s32, (x,), vjp)
 
 
-def neg(x):
-    return scale(x, -1.0)
-
-
-def relu(x):
-    xd = x.data
-
-    def vjp(g, needs):
-        return (g * (xd > 0) if needs[0] else None,)
-
-    return _finish("relu", np.maximum(xd, 0), (x,), vjp, check=False)
-
-
 def silu(x):
     xd = x.data
     sig = _F32(1.0) / (_F32(1.0) + np.exp(-xd))
@@ -411,15 +350,6 @@ def square(x):
         return (g * (_F32(2.0) * xd) if needs[0] else None,)
 
     return _finish("square", xd * xd, (x,), vjp)
-
-
-def sqrt(x):
-    out = np.sqrt(x.data)
-
-    def vjp(g, needs):
-        return (g / (_F32(2.0) * out) if needs[0] else None,)
-
-    return _finish("sqrt", out, (x,), vjp)
 
 
 def softmax(x, axis=-1):
@@ -772,21 +702,6 @@ def concat(tensors, axis=0):
 
     out = np.concatenate([t.data for t in tensors], axis=axis)
     return _finish("concat", out, tensors, vjp, check=False)
-
-
-def getitem(x, key):
-    """Basic slicing/integer indexing; gradient scatters into zeros."""
-    xd = x.data
-    out = xd[key]
-
-    def vjp(g, needs):
-        if not needs[0]:
-            return (None,)
-        z = np.zeros_like(xd)
-        z[key] = g
-        return (z,)
-
-    return _finish("getitem", np.ascontiguousarray(out), (x,), vjp, check=False)
 
 
 def _repeat2x(a):

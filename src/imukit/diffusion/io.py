@@ -47,6 +47,10 @@ def load_model(path, trainable=False):
     config = ModelConfig(**header["config"])
     sched = build_schedule(header["schedule"]["T"], header["schedule"]["beta_min"],
                            header["schedule"]["beta_max"])
+    expected = 4 * sum(int(np.prod(shape)) for _, shape in header["params"])
+    if len(payload) != expected:
+        raise ValueError(f"load_model: {path}: payload size mismatch: expected "
+                         f"{expected} bytes, got {len(payload)}")
     params = {}
     offset = 0
     for name, shape in header["params"]:
@@ -55,6 +59,4 @@ def load_model(path, trainable=False):
                             offset=offset).reshape(shape)
         offset += n * 4
         params[name] = Tensor(arr.astype(np.float32), requires_grad=False)
-    if offset != len(payload):
-        raise ValueError(f"load_model: {path}: payload size mismatch")
     return DenoiserModel(config, params, schedule=sched, trainable=trainable)

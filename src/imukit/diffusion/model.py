@@ -43,10 +43,6 @@ class PromptEmbedding:
     matrix: Tensor           # (max_tokens, d_text)
     content_mask: np.ndarray  # bool (max_tokens,), False on padding
 
-    @property
-    def n_content(self):
-        return int(self.content_mask.sum())
-
 
 @dataclass
 class AttentionRecord:
@@ -178,10 +174,10 @@ class DenoiserModel:
             cached = self._temb_proj_cache.get((t, prefix))
             if cached is not None:
                 return cached
-        e = Tensor(self._time_vec(t)[None, :])
-        proj = ad.add(ad.matmul(e, self.params[prefix + "_t"]),
-                      ad.reshape(self.params[prefix + "_tb"], (1, -1)))
-        out = ad.reshape(proj, (proj.shape[1],))
+        w = self.params[prefix + "_t"]
+        proj = ad.dense(Tensor(self._time_vec(t)[None, :]), w,
+                        self.params[prefix + "_tb"])
+        out = ad.reshape(proj, w.shape[1:])
         if not self.trainable:
             self._temb_proj_cache[(t, prefix)] = out
         return out

@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ConfigError(f"edit_t_frac must be in [0, 1), got {self.edit_t_frac}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.ablate_images < 1 or self.ablate_repeats < 1:
+            raise ConfigError("ablate_images and ablate_repeats must be >= 1")
         self.methods = tuple(self.methods)
         self.ablate_bins = tuple(self.ablate_bins)
 

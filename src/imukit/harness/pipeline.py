@@ -27,7 +27,7 @@ from imukit.diffusion.sampling import edit, edit_batch
 from imukit.diffusion.schedule import build_schedule, forward_diffuse
 from imukit.diffusion.text import encode_caption
 from imukit.diffusion.training import train
-from imukit.harness.artifacts import read_delta, read_json, write_delta, write_json
+from imukit.harness.artifacts import read_json, write_delta, write_json
 from imukit.harness.config import METHOD_CODES, METHODS, ExperimentConfig, config_hash
 from imukit.harness.tables import (
     METRIC_NAMES, RESULT_COLUMNS, aggregate_rows, write_csv, write_results,
@@ -290,7 +290,7 @@ def method_attack_config(cfg, method, seed_int):
     return replace(cfg.attack, **kw)
 
 
-def _loss_weights(method, acfg):
+def _loss_weights(acfg):
     weights = {}
     if acfg.daa_mode == "dual":
         weights["lambda_daa"] = acfg.lambda_daa
@@ -329,7 +329,7 @@ def _immunize_one(model, cfg, paths, method, idx, item):
     report = {
         "method": method, "image_index": idx,
         "config": cfg_echo,
-        "loss_weights": _loss_weights(method, acfg),
+        "loss_weights": _loss_weights(acfg),
         "trace": state.trace if state else [],
         "degenerate_mask_count": state.degenerate_count if state else 0,
         "final_linf": float(np.abs(delta).max()),

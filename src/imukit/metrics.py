@@ -27,8 +27,6 @@ DEFENSE_DIRECTIONS = {
     "percep_dist": "higher",
 }
 
-DIRECTION_ARROWS = {"lower": "↓", "higher": "↑"}
-
 
 @dataclass
 class MetricsReport:

@@ -36,10 +36,8 @@ def ref_avgpool2x(x):
 
 
 REFERENCE_OPS = {
-    "relu": lambda x: np.maximum(x, 0.0),
     "silu": ref_silu,
     "square": lambda x: x * x,
-    "sqrt": np.sqrt,
     "softmax": ref_softmax,
     "upsample2x": ref_upsample2x,
     "avgpool2x": ref_avgpool2x,

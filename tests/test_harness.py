@@ -99,6 +99,21 @@ def test_model_config_round_trips_through_model_bin(tmp_path, tiny_model):
     assert loaded.config.widths == (8, 12, 16)
 
 
+@pytest.mark.parametrize("cut,extra", [(7, b""), (0, b"\0" * 5)],
+                         ids=["truncated", "over-long"])
+def test_model_bin_wrong_payload_size_names_the_file(tmp_path, tiny_model, cut, extra):
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) - cut] + extra)
+    expected = 4 * tiny_model.n_params()
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    msg = str(err.value)
+    assert str(path) in msg
+    assert f"expected {expected} bytes, got {expected - cut + len(extra)}" in msg
+
+
 @pytest.mark.parametrize("method,daa_mode,lambda_nba", [
     ("none", "dual", 0.5), ("random-noise", "dual", 0.5),
     ("sa-style", "suppress-fixed", 0.0), ("danp", "dual", 0.5),
@@ -121,6 +136,10 @@ def test_config_validation_errors(tmp_path):
         tiny_experiment(tmp_path, methods=["danp", "bogus"])
     with pytest.raises(ConfigError):
         tiny_experiment(tmp_path, n_test=0)
+    with pytest.raises(ConfigError):
+        tiny_experiment(tmp_path, ablate_repeats=0)
+    with pytest.raises(ConfigError):
+        tiny_experiment(tmp_path, ablate_images=0)
     with pytest.raises(ConfigError):
         ExperimentConfig.load(tmp_path / "missing.json")
 

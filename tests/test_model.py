@@ -211,6 +211,49 @@ def test_forward_and_gradients_bitwise_match_unfused_chain(bsz, trainable):
         assert np.array_equal(a, b)
 
 
+def _unfused_temb(model, t, prefix):
+    e = Tensor(model._time_vec(t)[None, :])
+    proj = ad.add(ad.matmul(e, model.params[prefix + "_t"]),
+                  ad.reshape(model.params[prefix + "_tb"], (1, -1)))
+    return ad.reshape(proj, (proj.shape[1],))
+
+
+def test_temb_is_one_dense_node_matching_the_unfused_chain():
+    """On a trainable model each level's time projection is one dense node
+    with the value and _t/_tb gradients of the matmul + add + reshape chain,
+    so a forward records 20 nodes (25 with the chain)."""
+    gen = np.random.default_rng(91)
+    model = DenoiserModel.init(ModelConfig(), seed=5, schedule=build_schedule(50))
+    prefixes = ("enc0", "enc1", "enc2", "dec1", "dec0")
+    for prefix in prefixes:
+        # nonzero biases, so the value check sees the add
+        tb = model.params[prefix + "_tb"]
+        model.params[prefix + "_tb"] = Tensor(gen.normal(size=tb.shape),
+                                              requires_grad=True)
+    for prefix in prefixes:
+        w = Tensor(gen.normal(size=model.params[prefix + "_tb"].shape))
+        results = []
+        for temb in (model._temb, lambda t, p: _unfused_temb(model, t, p)):
+            with Tape() as tape:
+                out = temb(17, prefix)
+                nodes = len(tape.nodes)
+                loss = ad.sum_(ad.mul(out, w))
+            grads = tape.backward(loss)
+            results.append((nodes, out.data, grads[model.params[prefix + "_t"]],
+                            grads[model.params[prefix + "_tb"]]))
+        (fused_nodes, *fused), (chain_nodes, *chain) = results
+        assert (fused_nodes, chain_nodes) == (1, 2)
+        for a, b in zip(fused, chain):
+            assert a.dtype == b.dtype == np.float32
+            assert np.array_equal(a, b)
+
+    x = Tensor(gen.random((2, 32, 32, 3)).astype(np.float32))
+    pm = Tensor(gen.normal(size=(2, 8, 16)))
+    with Tape() as tape:
+        model.forward_batch(x, 17, pm)
+    assert len(tape.nodes) == 20
+
+
 @pytest.fixture(scope="module")
 def frozen_default_model():
     model = DenoiserModel.init(ModelConfig(), seed=8, schedule=build_schedule(50))
