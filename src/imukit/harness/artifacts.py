@@ -6,33 +6,22 @@ import json
 
 import numpy as np
 
+from imukit.diffusion.io import read_container, write_container
+
 _DELTA_FORMAT = "imukit-delta-v1"
 
 
 def write_delta(path, delta, meta=None):
     """JSON header line + little-endian float32 payload; exact round-trip."""
-    delta = np.ascontiguousarray(delta, dtype="<f4")
-    header = {"format": _DELTA_FORMAT, "shape": list(delta.shape)}
+    header = {"format": _DELTA_FORMAT, "shape": list(np.shape(delta))}
     if meta:
         header["meta"] = meta
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
-        f.write(delta.tobytes())
+    write_container(path, header, [delta])
 
 
 def read_delta(path):
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        payload = f.read()
-    if header.get("format") != _DELTA_FORMAT:
-        raise ValueError(f"read_delta: {path}: unrecognized format")
-    shape = tuple(header["shape"])
-    n = int(np.prod(shape))
-    if len(payload) != 4 * n:
-        raise ValueError(f"read_delta: {path}: payload size mismatch")
-    arr = np.frombuffer(payload, dtype="<f4", count=n).reshape(shape)
-    return arr.astype(np.float32), header.get("meta", {})
+    header, (delta,) = read_container(path, _DELTA_FORMAT, lambda h: [h["shape"]])
+    return delta, header.get("meta", {})
 
 
 def write_json(path, obj):

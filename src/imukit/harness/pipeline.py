@@ -28,10 +28,8 @@ from imukit.diffusion.schedule import build_schedule, forward_diffuse
 from imukit.diffusion.text import encode_caption
 from imukit.diffusion.training import train
 from imukit.harness.artifacts import read_json, write_delta, write_json
-from imukit.harness.config import METHOD_CODES, METHODS, ExperimentConfig, config_hash
-from imukit.harness.tables import (
-    METRIC_NAMES, RESULT_COLUMNS, aggregate_rows, write_csv, write_results,
-)
+from imukit.harness.config import METHOD_CODES, ExperimentConfig, config_hash
+from imukit.harness.tables import METRIC_NAMES, aggregate_rows, write_csv, write_results
 from imukit.metrics import full_report
 from imukit.ppm import read_ppm, write_ppm
 
@@ -133,6 +131,9 @@ class RunPaths:
     @property
     def bins_json(self):
         return self.ablate_dir / "bins.json"
+
+    def bins_image(self, bins, idx):
+        return self.ablate_dir / f"bins_{bins}_img_{idx:03d}.ppm"
 
     @property
     def report_dir(self):
@@ -309,7 +310,8 @@ def run_method_on_image(model, method, x0, tokens, acfg):
     return immunize(x0, prompt, model, acfg)
 
 
-def _immunize_one(model, cfg, paths, method, idx, item):
+def _immunize_one(model, cfg, paths, items, method, idx):
+    item = items[idx]
     seed_int = _derive_seed(cfg.seed, _ROLE_ATTACK, METHOD_CODES[method], idx)
     acfg = method_attack_config(cfg, method, seed_int)
     t0 = time.perf_counter()
@@ -351,11 +353,24 @@ def _pool_init(cfg_dict):
                        items=load_split(paths, "test"))
 
 
-def _pool_immunize(args):
-    method, idx = args
+def _pool_task(fn_task):
+    fn, task = fn_task
     s = _POOL_STATE
-    _immunize_one(s["model"], s["cfg"], s["paths"], method, idx, s["items"][idx])
-    return (method, idx)
+    return fn(s["model"], s["cfg"], s["paths"], s["items"], *task)
+
+
+def _run_tasks(fn, model, cfg, paths, items, tasks):
+    """[fn(model, cfg, paths, items, *task) for task in tasks], in task order.
+
+    With cfg.jobs > 1 the tasks run on that many worker processes, each of
+    which loads its own model and test split, so fn must be a module-level
+    function and each task independent of the others.
+    """
+    if cfg.jobs == 1:
+        return [fn(model, cfg, paths, items, *task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_pool_init,
+                             initargs=(cfg.to_dict(),)) as pool:
+        return list(pool.map(_pool_task, [(fn, task) for task in tasks], chunksize=1))
 
 
 def cmd_immunize(cfg, methods=None):
@@ -370,14 +385,7 @@ def cmd_immunize(cfg, methods=None):
 
     tasks = [(method, idx) for method in methods for idx in range(len(items))]
     t0 = time.perf_counter()
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_pool_init,
-                                 initargs=(cfg.to_dict(),)) as pool:
-            list(pool.map(_pool_immunize, tasks, chunksize=1))
-    else:
-        model = load_model(paths.model_bin)
-        for method, idx in tasks:
-            _immunize_one(model, cfg, paths, method, idx, items[idx])
+    _run_tasks(_immunize_one, load_model(paths.model_bin), cfg, paths, items, tasks)
     print(f"[imukit] immunized {len(items)} images x {len(methods)} methods "
           f"in {time.perf_counter() - t0:.1f}s")
     return paths.root / "immunize"
@@ -401,65 +409,62 @@ def _edit_rng(cfg, idx, pidx):
         np.random.SeedSequence([cfg.seed, _ROLE_EDIT, idx, pidx]))
 
 
-def _evaluate_rows(model, cfg, paths, items, methods, indices=None, keep=None):
-    """Defense + imperceptibility metric rows with shared edit randomness.
+def _defense_pass(model, cfg, idx, x0, images, prompts, features):
+    """Defense metrics of each labelled image of test item idx, per prompt.
 
-    The clean and every immunized edit of one (image, prompt) pair consume
-    identical sampler noise, so row differences are attributable to the
-    perturbation alone. It also makes an immunized image equal to x0 (the
-    `none` method) edit to the clean edit, so each distinct input of a pair
-    is edited once, and each distinct image of one item gets one
-    percep_dist feature pass. All edits of one item run as one edit_batch.
+    x0 and each image of images (label -> image) are edited under each
+    (prompt index, caption) of prompts in one edit_batch call. All edits
+    under one prompt draw the same noise, _edit_rng(cfg, idx, prompt index),
+    so a metric between the clean edit and an image's edit reflects the
+    perturbation alone, and equal inputs give equal edits: each distinct
+    input (by float32 bytes, x0 first) is edited once, and an image equal to
+    x0 (the `none` method) scores against the clean edit itself. features is
+    the item's percep_dist feature dict.
 
-    keep, when given, is a dict keyed by item index; each of its entries is
-    set to (feature dict, {prompt index: (prompt, clean edit)}) for callers
-    that edit the same pairs again.
+    Returns {prompt index: {label: metric dict}}.
     """
-    indices = list(range(len(items))) if indices is None else list(indices)
+    inputs = [x0]
+    seen = {(x0.shape, x0.tobytes()): 0}
+    input_of = {}
+    for label, x in images.items():
+        key = (x.shape, x.tobytes())
+        if key not in seen:
+            seen[key] = len(inputs)
+            inputs.append(x)
+        input_of[label] = seen[key]
+    edits = edit_batch(model, [(model.encode_prompt(encode_caption(caption)),
+                                _edit_rng(cfg, idx, pidx), inputs)
+                               for pidx, caption in prompts], cfg.t_edit)
+    return {pidx: {label: full_report(outs[0], outs[i], model, features).to_dict()
+                   for label, i in input_of.items()}
+            for (pidx, _), outs in zip(prompts, edits)}
+
+
+def _item_rows(model, cfg, paths, items, idx, methods):
+    """Defense + imperceptibility rows of test item idx, prompt-major."""
+    item = items[idx]
+    features = {}
+    images = {method: read_ppm(paths.immunized_image(method, idx)) for method in methods}
+    imperc = {method: full_report(item.image, x_imu, model, features).to_dict()
+              for method, x_imu in images.items()}
+    prompts = _prompts_for(cfg, item)
+    defense = _defense_pass(model, cfg, idx, item.image, images, prompts, features)
     rows = []
-    for idx in indices:
-        item = items[idx]
-        x0 = item.image
-        features = {}
-        imperc = {}
-        # distinct edit inputs by float32 bytes, x0 first
-        inputs = [x0]
-        seen = {(x0.shape, x0.tobytes()): 0}
-        input_of = {}
+    for pidx, caption in prompts:
         for method in methods:
-            x_imu = read_ppm(paths.immunized_image(method, idx))
-            imperc[method] = full_report(x0, x_imu, model, features).to_dict()
-            key = (x_imu.shape, x_imu.tobytes())
-            if key not in seen:
-                seen[key] = len(inputs)
-                inputs.append(x_imu)
-            input_of[method] = seen[key]
-        prompts = [(pidx, caption, model.encode_prompt(encode_caption(caption)))
-                   for pidx, caption in _prompts_for(cfg, item)]
-        edits = edit_batch(model, [(prompt, _edit_rng(cfg, idx, pidx), inputs)
-                                   for pidx, _, prompt in prompts], cfg.t_edit)
-        clean_edits = {}
-        for (pidx, caption, prompt), outs in zip(prompts, edits):
-            clean_out = outs[0]
-            clean_edits[pidx] = (prompt, clean_out)
-            for method in methods:
-                defense = full_report(clean_out, outs[input_of[method]], model, features)
-                row = {"image": idx, "prompt_idx": pidx, "prompt": caption,
-                       "method": method}
-                for m in METRIC_NAMES:
-                    row[f"defense_{m}"] = defense.to_dict()[m]
-                    row[f"imperceptibility_{m}"] = imperc[method][m]
-                rows.append(row)
-        if keep is not None and idx in keep:
-            keep[idx] = (features, clean_edits)
+            row = {"image": idx, "prompt_idx": pidx, "prompt": caption, "method": method}
+            for m in METRIC_NAMES:
+                row[f"defense_{m}"] = defense[pidx][method][m]
+                row[f"imperceptibility_{m}"] = imperc[method][m]
+            rows.append(row)
     return rows
 
 
-def _pool_evaluate(args):
-    methods, idx = args
-    s = _POOL_STATE
-    return _evaluate_rows(s["model"], s["cfg"], s["paths"], s["items"],
-                          list(methods), indices=[idx])
+def _evaluate_rows(model, cfg, paths, items, methods):
+    """Defense + imperceptibility metric rows of every test item, in item order."""
+    tasks = [(idx, methods) for idx in range(len(items))]
+    return [row for rows in _run_tasks(_item_rows, model, cfg, paths, items, tasks)
+            for row in rows]
 
 
 def _write_heatmaps(model, cfg, paths, items, methods):
@@ -505,16 +510,8 @@ def cmd_evaluate(cfg, methods=None):
     paths.evaluate_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_pool_init,
-                                 initargs=(cfg.to_dict(),)) as pool:
-            chunks = pool.map(_pool_evaluate,
-                              [(methods, i) for i in range(len(items))], chunksize=1)
-            rows = [r for chunk in chunks for r in chunk]
-        model = load_model(paths.model_bin)
-    else:
-        model = load_model(paths.model_bin)
-        rows = _evaluate_rows(model, cfg, paths, items, methods)
+    model = load_model(paths.model_bin)
+    rows = _evaluate_rows(model, cfg, paths, items, methods)
     write_results(paths.results_csv, paths.results_json, rows, methods)
     _write_heatmaps(model, cfg, paths, items, methods)
     print(f"[imukit] evaluated {len(rows)} rows in {time.perf_counter() - t0:.1f}s "
@@ -555,12 +552,7 @@ def cmd_ablate(cfg):
     if missing_methods:
         cmd_immunize(cfg, methods=missing_methods)
 
-    # the bin sweep edits its subset under the original prompt with the
-    # component rows' seeds; keep those rows' clean edits and features
-    subset = list(range(min(cfg.ablate_images, len(items))))
-    shared = dict.fromkeys(subset)
-    rows = _evaluate_rows(model, cfg, paths, items, list(ABLATION_METHODS),
-                          keep=shared)
+    rows = _evaluate_rows(model, cfg, paths, items, ABLATION_METHODS)
     agg = aggregate_rows(rows, ABLATION_METHODS)
     comp_rows = []
     for method in ABLATION_METHODS:
@@ -581,18 +573,9 @@ def cmd_ablate(cfg):
         "aggregates": agg, "contracts": contracts,
     })
 
-    # bin-count sweep on the subset, timing the attack loop per iteration;
-    # the clean edits exist already unless edit_prompts leaves out the
-    # original caption
-    clean = {}
-    for idx in subset:
-        features, clean_edits = shared[idx]
-        if 0 not in clean_edits:
-            prompt = model.encode_prompt(encode_caption(items[idx].caption))
-            clean_edits[0] = (prompt, edit(model, items[idx].image, prompt,
-                                           cfg.t_edit, _edit_rng(cfg, idx, 0)))
-        clean[idx] = clean_edits[0] + (features,)
-    bin_rows = []
+    # bin-count sweep on the subset, timing the attack loop per iteration
+    subset = list(range(min(cfg.ablate_images, len(items))))
+    time_per_iter = []
     for bins in cfg.ablate_bins:
         times = []
         for rep in range(cfg.ablate_repeats):
@@ -605,25 +588,24 @@ def cmd_ablate(cfg):
                 x_imu, _ = run_method_on_image(model, "danp", item.image,
                                                item.tokens, acfg)
                 if rep == 0:
-                    out = paths.ablate_dir / f"bins_{bins}_img_{idx:03d}.ppm"
-                    write_ppm(out, x_imu)
+                    write_ppm(paths.bins_image(bins, idx), x_imu)
             total_iters = cfg.ablate_iterations * len(subset)
             times.append((time.perf_counter() - t0) / max(total_iters, 1))
-        time_per_iter = float(np.median(times))
+        time_per_iter.append(float(np.median(times)))
 
-        # defense metrics for this bin count on the subset, original prompts
+    # defense of every bin count's images, one pass per subset image under
+    # its original caption
+    defense = [_defense_pass(model, cfg, idx, items[idx].image,
+                             {bins: read_ppm(paths.bins_image(bins, idx))
+                              for bins in cfg.ablate_bins},
+                             [(0, items[idx].caption)], features={})[0]
+               for idx in subset]
+    bin_rows = []
+    for bins, seconds in zip(cfg.ablate_bins, time_per_iter):
         drow = {"bins": bins}
-        vals = {m: [] for m in METRIC_NAMES}
-        for idx in subset:
-            prompt, clean_out, features = clean[idx]
-            x_imu = read_ppm(paths.ablate_dir / f"bins_{bins}_img_{idx:03d}.ppm")
-            imu_out = edit(model, x_imu, prompt, cfg.t_edit, _edit_rng(cfg, idx, 0))
-            rep = full_report(clean_out, imu_out, model, features)
-            for m in METRIC_NAMES:
-                vals[m].append(rep.to_dict()[m])
         for m in METRIC_NAMES:
-            drow[f"defense_{m}"] = float(np.mean(vals[m]))
-        drow["time_per_iter_s"] = time_per_iter
+            drow[f"defense_{m}"] = float(np.mean([d[bins][m] for d in defense]))
+        drow["time_per_iter_s"] = seconds
         bin_rows.append(drow)
 
     write_csv(paths.bins_csv,
@@ -651,6 +633,10 @@ def cmd_report(cfg):
     components = read_json(paths.components_json) if paths.components_json.exists() else None
     bins = read_json(paths.bins_json) if paths.bins_json.exists() else None
 
+    def table_row(label, values, key):
+        psnr, ssim, vifp, percep = (values[key.format(m)] for m in METRIC_NAMES)
+        return f"{label:>14} | {psnr:>10.4f} {ssim:>8.4f} {vifp:>8.4f} {percep:>10.6f}"
+
     lines = []
     h = config_hash(cfg)
     lines.append("immunization run summary")
@@ -664,28 +650,18 @@ def cmd_report(cfg):
     lines.append(header)
     aggs = results["aggregates"]
     for method, agg in aggs.items():
-        lines.append(
-            f"{method:>14} | {agg['defense_psnr_median']:>10.4f} "
-            f"{agg['defense_ssim_median']:>8.4f} {agg['defense_vifp_median']:>8.4f} "
-            f"{agg['defense_percep_dist_median']:>10.6f}")
+        lines.append(table_row(method, agg, "defense_{}_median"))
     lines.append("")
     lines.append("IMPERCEPTIBILITY x0 vs x_imu (mean over rows; higher psnr = closer)")
     lines.append(header.replace("(v)", "   ").replace("(^)", "   "))
     for method, agg in aggs.items():
-        lines.append(
-            f"{method:>14} | {agg['imperceptibility_psnr_mean']:>10.4f} "
-            f"{agg['imperceptibility_ssim_mean']:>8.4f} "
-            f"{agg['imperceptibility_vifp_mean']:>8.4f} "
-            f"{agg['imperceptibility_percep_dist_mean']:>10.6f}")
+        lines.append(table_row(method, agg, "imperceptibility_{}_mean"))
     if components:
         lines.append("")
         lines.append("ABLATION (defense means)")
         lines.append(header)
         for row in components["rows"]:
-            lines.append(
-                f"{row['method']:>14} | {row['defense_psnr']:>10.4f} "
-                f"{row['defense_ssim']:>8.4f} {row['defense_vifp']:>8.4f} "
-                f"{row['defense_percep_dist']:>10.6f}")
+            lines.append(table_row(row["method"], row, "defense_{}"))
         for name, ok in components["contracts"].items():
             lines.append(f"  contract {name}: {'ok' if ok else 'VIOLATED'}")
     if bins:
@@ -693,10 +669,8 @@ def cmd_report(cfg):
         lines.append("BIN SWEEP (defense means + time/iter)")
         lines.append(header + f" {'time/iter(s)':>13}")
         for row in bins["rows"]:
-            lines.append(
-                f"{row['bins']:>14} | {row['defense_psnr']:>10.4f} "
-                f"{row['defense_ssim']:>8.4f} {row['defense_vifp']:>8.4f} "
-                f"{row['defense_percep_dist']:>10.6f} {row['time_per_iter_s']:>13.6f}")
+            lines.append(table_row(row["bins"], row, "defense_{}")
+                         + f" {row['time_per_iter_s']:>13.6f}")
     lines.append("")
     text = "\n".join(lines)
     with open(paths.summary_txt, "w", encoding="utf-8") as f:

@@ -14,7 +14,7 @@ from imukit.harness.pipeline import (
     _write_heatmaps, cmd_ablate, cmd_evaluate, cmd_gen_data, cmd_immunize, cmd_report,
     cmd_train, load_split, method_attack_config, run_paths,
 )
-from imukit.harness.artifacts import read_delta, read_json
+from imukit.harness.artifacts import read_delta, read_json, write_delta
 from imukit.harness.tables import METRIC_NAMES, read_csv
 from imukit.diffusion.io import load_model, save_model
 from imukit.diffusion.sampling import EDIT_ROWS, edit
@@ -99,19 +99,41 @@ def test_model_config_round_trips_through_model_bin(tmp_path, tiny_model):
     assert loaded.config.widths == (8, 12, 16)
 
 
-@pytest.mark.parametrize("cut,extra", [(7, b""), (0, b"\0" * 5)],
-                         ids=["truncated", "over-long"])
-def test_model_bin_wrong_payload_size_names_the_file(tmp_path, tiny_model, cut, extra):
+def _damage(path, case, payload):
+    """Cut or extend the container file at path; returns the error text it must give."""
+    raw = path.read_bytes()
+    data, text = {
+        "truncated": (raw[:-7], f"expected {payload} bytes, got {payload - 7}"),
+        "over-long": (raw + b"\0" * 5, f"expected {payload} bytes, got {payload + 5}"),
+        "cut-in-header": (raw[:40], "unreadable header"),
+    }[case]
+    path.write_bytes(data)
+    return text
+
+
+@pytest.mark.parametrize("case", ["truncated", "over-long", "cut-in-header"])
+def test_model_bin_wrong_payload_size_names_the_file(tmp_path, tiny_model, case):
     path = tmp_path / "model.bin"
     save_model(tiny_model, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:len(raw) - cut] + extra)
-    expected = 4 * tiny_model.n_params()
+    text = _damage(path, case, 4 * tiny_model.n_params())
     with pytest.raises(ValueError) as err:
         load_model(path)
-    msg = str(err.value)
-    assert str(path) in msg
-    assert f"expected {expected} bytes, got {expected - cut + len(extra)}" in msg
+    assert str(path) in str(err.value)
+    assert text in str(err.value)
+
+
+@pytest.mark.parametrize("case", ["truncated", "over-long", "cut-in-header"])
+def test_delta_file_wrong_payload_size_names_the_file(tmp_path, case):
+    path = tmp_path / "img_000_delta.bin"
+    delta = np.linspace(-0.03, 0.03, 4 * 5 * 3, dtype=np.float32).reshape(4, 5, 3)
+    write_delta(path, delta, meta={"method": "danp", "image_index": 0})
+    back, meta = read_delta(path)
+    assert back.tobytes() == delta.tobytes() and meta["method"] == "danp"
+    text = _damage(path, case, delta.nbytes)
+    with pytest.raises(ValueError) as err:
+        read_delta(path)
+    assert str(path) in str(err.value)
+    assert text in str(err.value)
 
 
 @pytest.mark.parametrize("method,daa_mode,lambda_nba", [
@@ -392,8 +414,8 @@ def test_ablate_tables(tiny_run):
 
 
 @pytest.mark.parametrize("edit_prompts", ["original", "unseen"])
-def test_ablate_sweep_reuses_evaluated_clean_edits(tiny_run, forward_calls, tmp_path,
-                                                   edit_prompts):
+def test_ablate_sweep_scores_each_image_in_one_defense_pass(tiny_run, forward_calls,
+                                                            tmp_path, edit_prompts):
     cfg = dataclasses.replace(tiny_run, out_dir=str(tmp_path), edit_prompts=edit_prompts)
     shutil.copytree(run_paths(tiny_run).root, run_paths(cfg).root)
     paths = run_paths(cfg)
@@ -405,16 +427,15 @@ def test_ablate_sweep_reuses_evaluated_clean_edits(tiny_run, forward_calls, tmp_
     forward_calls.clear()
     _evaluate_rows(model, cfg, paths, items, list(ABLATION_METHODS))
     n_components = len(forward_calls)
-    # per bin count and subset image: two forwards per attacked timestep, then
-    # the immunized image's edit and its percep features; the clean edits
-    # and their features come from the component rows when those edit
-    # under the original caption
+    # per subset image: two forwards per attacked timestep and bin count,
+    # then one defense pass under the original caption that edits the clean
+    # image and every bin count's image together, EDIT_ROWS rows per
+    # forward, and runs the percep features of each edit
     subset = range(min(cfg.ablate_images, len(items)))
+    n_bins = len(cfg.ablate_bins)
     attack = cfg.ablate_repeats * cfg.ablate_iterations * len(cfg.attack.timesteps) * 2
-    per_image = attack + cfg.t_edit + 1
-    clean = 0 if edit_prompts == "original" else cfg.t_edit + 1
-    assert n_ablate == (n_components + len(cfg.ablate_bins) * len(subset) * per_image
-                        + len(subset) * clean)
+    defense = cfg.t_edit * -(-(1 + n_bins) // EDIT_ROWS) + 1 + n_bins
+    assert n_ablate == n_components + len(subset) * (n_bins * attack + defense)
 
     bins = read_json(paths.bins_json)
     before = read_json(run_paths(tiny_run).bins_json)
@@ -430,6 +451,26 @@ def test_ablate_sweep_reuses_evaluated_clean_edits(tiny_run, forward_calls, tmp_
                 vals[m].append(v)
         for m in METRIC_NAMES:
             assert row[f"defense_{m}"] == float(np.mean(vals[m]))
+
+
+def test_jobs_parallel_ablate_matches_serial(tiny_run, tmp_path):
+    cfg = dataclasses.replace(tiny_run, out_dir=str(tmp_path), jobs=2)
+    shutil.copytree(run_paths(tiny_run).root, run_paths(cfg).root)
+    serial, parallel = run_paths(tiny_run).ablate_dir, run_paths(cfg).ablate_dir
+    shutil.rmtree(parallel)
+    cmd_ablate(cfg)
+    names = sorted(p.name for p in serial.iterdir())
+    assert sorted(p.name for p in parallel.iterdir()) == names
+    for name in names:
+        if not name.startswith("bins."):
+            assert (parallel / name).read_bytes() == (serial / name).read_bytes(), name
+
+    def untimed(rows):
+        return [{**row, "time_per_iter_s": 0} for row in rows]
+
+    blob, want = read_json(parallel / "bins.json"), read_json(serial / "bins.json")
+    assert {**blob, "rows": untimed(blob["rows"])} == {**want, "rows": untimed(want["rows"])}
+    assert untimed(read_csv(parallel / "bins.csv")) == untimed(read_csv(serial / "bins.csv"))
 
 
 # ---------------------------------------------------------------------------
