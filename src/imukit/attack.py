@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from imukit import autodiff as ad
-from imukit.autodiff import Tape, Tensor, stop_gradient
+from imukit.autodiff import Tape, Tensor
 from imukit.attention_mask import aggregate, fixed_threshold_mask, make_mask
 from imukit.diffusion.model import predict_noise
 from imukit.diffusion.schedule import forward_diffuse
@@ -106,49 +106,44 @@ def nba_loss(eps_clean, eps_imu):
     return ad.scale(ad.l2_sq_distance(eps_clean, eps_imu), -1.0)
 
 
-def total_loss(x0, delta, model, prompt, t, shared_eps, *,
-               lambda_daa=1.0, lambda_nba=1.0, bins=128, daa_mode="dual",
-               sa_threshold=0.02, mask_override=None):
+def total_loss(x0, delta, model, prompt, t, shared_eps, cfg=AttackConfig(),
+               mask_override=None):
     """Combined attack objective at one timestep with one shared noise draw.
 
     Both diffusion branches use the same eps, so at delta = 0 they are
-    bit-identical and the noise term is exactly zero. The mask is recomputed
-    from the perturbed branch and frozen (stop-gradient) for this step;
-    mask_override substitutes a precomputed constant mask.
+    bit-identical and the noise term is exactly zero; the clean branch runs
+    only for the noise term. The mask is recomputed from the perturbed
+    branch and frozen (stop-gradient) for this step; mask_override
+    substitutes a precomputed constant mask.
 
     Returns (loss Tensor or None, components dict). Loss is None when every
     term is disabled or degenerate for this step.
     """
-    x0_t = x0 if isinstance(x0, Tensor) else Tensor(np.asarray(x0, dtype=np.float32))
+    x0 = np.asarray(x0, dtype=np.float32)
     eps_t = Tensor(np.asarray(shared_eps, dtype=np.float32))
     sched = model.schedule
 
-    x_imu = ad.add(x0_t, delta)
-    # clean branch: constants only, so nothing lands on the tape
-    x_t_clean = forward_diffuse(sched, stop_gradient(x0_t), t, eps_t)
-    eps_clean, _ = predict_noise(model, x_t_clean, t, prompt)
-    x_t_imu = forward_diffuse(sched, x_imu, t, eps_t)
+    x_t_imu = forward_diffuse(sched, ad.add(Tensor(x0), delta), t, eps_t)
     eps_imu, record = predict_noise(model, x_t_imu, t, prompt,
-                                    capture_attention=daa_mode != "off")
+                                    capture_attention=cfg.daa_mode != "off")
 
     terms = []
     comps = {"daa": 0.0, "nba": 0.0, "nba_raw": 0.0, "total": 0.0,
-             "degenerate": False, "threshold": None}
+             "degenerate": False}
 
-    if daa_mode != "off":
+    if cfg.daa_mode != "off":
         agg = aggregate(record, prompt)
         if mask_override is not None:
             mask = mask_override
-        elif daa_mode == "dual":
-            mask = make_mask(agg, bins, timestep=t)
+        elif cfg.daa_mode == "dual":
+            mask = make_mask(agg, cfg.bins, timestep=t)
         else:
-            mask = fixed_threshold_mask(agg, sa_threshold, timestep=t)
+            mask = fixed_threshold_mask(agg, cfg.sa_threshold, timestep=t)
         comps["degenerate"] = bool(agg.degenerate or mask.degenerate)
-        comps["threshold"] = None if comps["degenerate"] else mask.threshold_used
         comps["mask"] = mask
         if not comps["degenerate"]:
-            if daa_mode == "dual":
-                term = daa_loss(agg, mask, lambda_daa)
+            if cfg.daa_mode == "dual":
+                term = daa_loss(agg, mask, cfg.lambda_daa)
             else:
                 # suppression-only baseline on the un-normalized map
                 m = Tensor(mask.mask.astype(np.float32))
@@ -156,15 +151,18 @@ def total_loss(x0, delta, model, prompt, t, shared_eps, *,
             terms.append(term)
             comps["daa"] = term.item()
 
-    if lambda_nba != 0.0:
-        raw = nba_loss(stop_gradient(eps_clean), eps_imu)
+    if cfg.lambda_nba != 0.0:
+        # clean branch: plain arrays, so a frozen model puts nothing on the tape
+        x_t_clean = forward_diffuse(sched, x0, t, shared_eps)
+        eps_clean, _ = predict_noise(model, x_t_clean, t, prompt)
+        raw = nba_loss(eps_clean, eps_imu)
         comps["nba_raw"] = raw.item()
         # bring the noise term to the attention term's magnitude: mean, not sum
-        scale = lambda_nba / eps_imu.size
+        scale = cfg.lambda_nba / eps_imu.size
         terms.append(ad.scale(raw, scale))
         comps["nba"] = comps["nba_raw"] / eps_imu.size
 
-    comps["total"] = comps["daa"] + lambda_nba * comps["nba"]
+    comps["total"] = comps["daa"] + cfg.lambda_nba * comps["nba"]
     if not terms:
         return None, comps
     loss = terms[0]
@@ -214,11 +212,7 @@ def immunize(x0, prompt, model, cfg):
             eps = rng.standard_normal(x0.shape).astype(np.float32)
             with Tape() as tape:
                 delta_t = Tensor(delta, requires_grad=True)
-                loss, comps = total_loss(
-                    x0, delta_t, model, prompt, t, eps,
-                    lambda_daa=cfg.lambda_daa, lambda_nba=cfg.lambda_nba,
-                    bins=cfg.bins, daa_mode=cfg.daa_mode,
-                    sa_threshold=cfg.sa_threshold)
+                loss, comps = total_loss(x0, delta_t, model, prompt, t, eps, cfg)
             if comps["degenerate"]:
                 degenerate_here += 1
                 state.degenerate_count += 1

@@ -39,7 +39,7 @@ __all__ = [
     "add", "sub", "mul", "matmul", "dense", "dense_silu", "attention_probs",
     "attend", "scale", "silu", "softmax", "sum_", "mean_", "square",
     "reshape", "transpose", "concat", "upsample2x", "upsample_concat",
-    "avgpool2x", "frobenius_sq", "l2_sq_distance", "stop_gradient",
+    "avgpool2x", "frobenius_sq", "l2_sq_distance",
 ]
 
 _F32 = np.float32
@@ -776,8 +776,3 @@ def avgpool2x(x):
         return (_repeat2x(g * _F32(0.25)),)
 
     return _finish("avgpool2x", out, (x,), vjp, check=False)
-
-
-def stop_gradient(x):
-    """Identical value, but backward contributes zero through this node."""
-    return Tensor._wrap(x.data.copy(), False)

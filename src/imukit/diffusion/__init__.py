@@ -7,7 +7,7 @@ from imukit.diffusion.model import (
     bottleneck_features, predict_noise,
 )
 from imukit.diffusion.dataset import (
-    ToyDataset, ToyItem, make_dataset, render_item, unseen_captions,
+    ToyItem, make_dataset, render_item, unseen_captions,
 )
 from imukit.diffusion.training import (
     TrainConfig, TrainingDiverged, TrainResult, evaluate_loss, train,
@@ -20,7 +20,7 @@ __all__ = [
     "MAX_TOKENS", "PAD_ID", "VOCAB_SIZE", "decode_tokens", "encode_caption",
     "AttentionRecord", "DenoiserModel", "ModelConfig", "PromptEmbedding",
     "bottleneck_features", "predict_noise",
-    "ToyDataset", "ToyItem", "make_dataset", "render_item", "unseen_captions",
+    "ToyItem", "make_dataset", "render_item", "unseen_captions",
     "TrainConfig", "TrainingDiverged", "TrainResult", "evaluate_loss", "train",
     "edit", "reverse_step",
     "load_model", "save_model",

@@ -7,7 +7,7 @@ out the ground-truth shape mask for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,19 +45,6 @@ class ToyItem:
     caption: str
     mask: np.ndarray           # bool (H, W), True on the shape
     meta: dict
-
-
-@dataclass
-class ToyDataset:
-    seed: int
-    split: int
-    items: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.items)
-
-    def __getitem__(self, i):
-        return self.items[i]
 
 
 def _contrast(a, b):
@@ -115,10 +102,7 @@ def render_item(seed, split, index, size=32):
 
 
 def make_dataset(seed, split, n, size=32):
-    ds = ToyDataset(seed=seed, split=split)
-    for i in range(n):
-        ds.items.append(render_item(seed, split, i, size=size))
-    return ds
+    return [render_item(seed, split, i, size=size) for i in range(n)]
 
 
 def unseen_captions(seed, index, item_meta, n_variants=5):

@@ -11,6 +11,7 @@ import numpy as np
 from imukit.autodiff import Tensor
 from imukit.diffusion.model import DenoiserModel, ModelConfig
 from imukit.diffusion.schedule import build_schedule
+from imukit.ppm import ArtifactError
 
 _FORMAT = "imukit-weights-v1"
 
@@ -28,8 +29,8 @@ def read_container(path, fmt, shapes_of):
     """Bit-exact inverse of write_container: (header, float32 arrays).
 
     shapes_of(header) lists the payload's array shapes. A header that is not a
-    JSON line of format fmt, or a payload of another size, raises ValueError
-    naming the path.
+    JSON line of format fmt, or a payload of another size, raises
+    ArtifactError naming the path.
     """
     with open(path, "rb") as f:
         line = f.readline()
@@ -37,14 +38,14 @@ def read_container(path, fmt, shapes_of):
     try:
         header = json.loads(line.decode("utf-8"))
     except ValueError as e:
-        raise ValueError(f"{path}: unreadable header: {e}") from None
+        raise ArtifactError(f"{path}: unreadable header: {e}") from None
     if not isinstance(header, dict) or header.get("format") != fmt:
-        raise ValueError(f"{path}: unrecognized format, expected {fmt}")
+        raise ArtifactError(f"{path}: unrecognized format, expected {fmt}")
     shapes = [tuple(shape) for shape in shapes_of(header)]
     expected = 4 * sum(int(np.prod(shape)) for shape in shapes)
     if len(payload) != expected:
-        raise ValueError(f"{path}: payload size mismatch: expected "
-                         f"{expected} bytes, got {len(payload)}")
+        raise ArtifactError(f"{path}: payload size mismatch: expected "
+                            f"{expected} bytes, got {len(payload)}")
     arrays, offset = [], 0
     for shape in shapes:
         n = int(np.prod(shape))
@@ -71,7 +72,7 @@ def save_model(model, path):
     write_container(path, header, [model.params[n].data for n in names])
 
 
-def load_model(path, trainable=False):
+def load_model(path):
     """Bit-exact inverse of save_model."""
     header, arrays = read_container(
         path, _FORMAT, lambda h: [shape for _, shape in h["params"]])
@@ -80,4 +81,4 @@ def load_model(path, trainable=False):
                            header["schedule"]["beta_max"])
     params = {name: Tensor(arr, requires_grad=False)
               for (name, _), arr in zip(header["params"], arrays)}
-    return DenoiserModel(config, params, schedule=sched, trainable=trainable)
+    return DenoiserModel(config, params, schedule=sched)

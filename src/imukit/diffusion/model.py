@@ -107,7 +107,6 @@ class DenoiserModel:
         self.params = params
         self.schedule = schedule
         self.set_trainable(trainable)
-        self._temb_cache = {}
         self._pos_cache = {}
 
     @classmethod
@@ -160,14 +159,10 @@ class DenoiserModel:
     # -- time ---------------------------------------------------------------
 
     def _time_vec(self, t):
-        vec = self._temb_cache.get(t)
-        if vec is None:
-            half = self.config.d_time // 2
-            freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
-            ang = t * freqs
-            vec = np.concatenate([np.sin(ang), np.cos(ang)]).astype(np.float32)
-            self._temb_cache[t] = vec
-        return vec
+        half = self.config.d_time // 2
+        freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
+        ang = t * freqs
+        return np.concatenate([np.sin(ang), np.cos(ang)]).astype(np.float32)
 
     def _temb(self, t, prefix):
         if not self.trainable:
@@ -202,20 +197,18 @@ class DenoiserModel:
 
     # -- forward --------------------------------------------------------------
 
-    def forward_batch(self, xb, t, pm, capture_attention=False,
-                      return_features=False):
-        """Predict noise for a (B, H, W, C) batch at one shared timestep.
+    def encode(self, xb, t, pm, record=None):
+        """Encoder levels and both cross-attention blocks: (h0, h1, h2).
 
-        pm is the (B, S, d_text) prompt embedding batch. With
-        capture_attention (B must be 1) the post-softmax maps of both
-        cross-attention blocks are recorded.
+        xb is a (B, H, W, C) batch at one shared timestep and pm the
+        (B, S, d_text) prompt embedding batch. With a record (B must be 1)
+        the post-softmax maps of both cross-attention blocks are appended.
         """
         size = self.config.image_size
         if xb.ndim != 4 or xb.shape[1:] != (size, size, self.config.in_channels):
             raise ValueError(
-                f"forward_batch: expected (B, {size}, {size}, "
+                f"encode: expected (B, {size}, {size}, "
                 f"{self.config.in_channels}), got {tuple(xb.shape)}")
-        record = AttentionRecord() if capture_attention else None
 
         pos = self._pos_cache.get(xb.shape[0])
         if pos is None:
@@ -231,21 +224,28 @@ class DenoiserModel:
         h1 = self._cross_attention(h1, pm, "attn1", record)
         h2 = self._level(ad.avgpool2x(h1), t, "enc2")
         h2 = self._cross_attention(h2, pm, "attn2", record)
+        return h0, h1, h2
+
+    def forward_batch(self, xb, t, pm, capture_attention=False):
+        """Predict noise for a (B, H, W, C) batch at one shared timestep.
+
+        pm is the (B, S, d_text) prompt embedding batch. With
+        capture_attention (B must be 1) the post-softmax maps of both
+        cross-attention blocks are recorded.
+        """
+        record = AttentionRecord() if capture_attention else None
+        h0, h1, h2 = self.encode(xb, t, pm, record)
         # drop each skip once its decoder input is built, so the peak of an
         # untaped forward holds no dead buffer (a tape keeps what it needs)
         x = ad.upsample_concat(h2, h1)
-        del h1
+        del h1, h2
         d1 = self._level(x, t, "dec1")
         del x
         x = ad.upsample_concat(d1, h0)
         del d1, h0
         d0 = self._level(x, t, "dec0")
         del x
-        eps = ad.dense(d0, self.params["head_w"], self.params["head_b"])
-
-        if return_features:
-            return eps, record, h2
-        return eps, record
+        return ad.dense(d0, self.params["head_w"], self.params["head_b"]), record
 
 
 def predict_noise(model, x_t, t, prompt, capture_attention=False):
@@ -270,5 +270,5 @@ def bottleneck_features(model, x, t, prompt):
     size = model.config.image_size
     xb = ad.reshape(xt, (1, size, size, model.config.in_channels))
     pm = ad.reshape(prompt.matrix, (1,) + tuple(prompt.matrix.shape))
-    _, _, feats = model.forward_batch(xb, t, pm, return_features=True)
+    _, _, feats = model.encode(xb, t, pm)
     return feats.data[0].copy()

@@ -71,9 +71,9 @@ class Adam:
             p.data -= (c.lr * mhat / (np.sqrt(vhat) + c.adam_eps)).astype(np.float32)
 
 
-def _stacked(dataset):
-    xs = np.stack([item.image for item in dataset.items]).astype(np.float32)
-    ids = np.stack([np.asarray(item.tokens, dtype=np.int64) for item in dataset.items])
+def _stacked(items):
+    xs = np.stack([item.image for item in items]).astype(np.float32)
+    ids = np.stack([np.asarray(item.tokens, dtype=np.int64) for item in items])
     return xs, ids
 
 
@@ -86,12 +86,12 @@ def _mc_loss(model, xs, ids, t, eps):
     return ad.mean_(ad.square(diff))
 
 
-def evaluate_loss(model, dataset, cfg):
+def evaluate_loss(model, items, cfg):
     """Deterministic held-out loss: fixed timesteps, seeded noise draws."""
-    if len(dataset) == 0:
+    if len(items) == 0:
         return float("nan")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
-    xs, ids = _stacked(dataset)
+    xs, ids = _stacked(items)
     total = 0.0
     T = model.schedule.T
     for k in range(cfg.eval_rounds):
@@ -101,23 +101,23 @@ def evaluate_loss(model, dataset, cfg):
     return total / cfg.eval_rounds
 
 
-def train(model, dataset, cfg, heldout=None):
+def train(model, items, cfg, heldout=None):
     """Fit the noise predictor; deterministic given (model init, cfg.seed).
 
     Raises TrainingDiverged when the loss goes non-finite. The held-out loss
     threshold is recorded on the result, not enforced here.
     """
-    if len(dataset) == 0:
+    if len(items) == 0:
         raise ValueError("train: dataset is empty")
     model.set_trainable(True)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     opt = Adam(model.params, cfg)
     result = TrainResult(heldout_threshold=cfg.heldout_threshold)
     T = model.schedule.T
-    xs_all, ids_all = _stacked(dataset)
+    xs_all, ids_all = _stacked(items)
 
     for step in range(1, cfg.steps + 1):
-        idx = rng.integers(0, len(dataset), size=cfg.batch_size)
+        idx = rng.integers(0, len(items), size=cfg.batch_size)
         t = int(rng.integers(0, T))
         xs, ids = xs_all[idx], ids_all[idx]
         eps = rng.standard_normal(xs.shape).astype(np.float32)

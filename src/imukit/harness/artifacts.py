@@ -7,6 +7,7 @@ import json
 import numpy as np
 
 from imukit.diffusion.io import read_container, write_container
+from imukit.ppm import ArtifactError
 
 _DELTA_FORMAT = "imukit-delta-v1"
 
@@ -31,5 +32,9 @@ def write_json(path, obj):
 
 
 def read_json(path):
+    """The JSON document at path; bad content raises ArtifactError."""
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise ArtifactError(f"{path}: not valid JSON: {e}") from None

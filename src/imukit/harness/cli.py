@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration error, 3 missing input artifact,
-4 numeric failure (divergence or non-finite values).
+Exit codes: 0 success, 2 configuration error, 3 missing or corrupt input
+artifact, 4 numeric failure (divergence or non-finite values).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from imukit.harness.pipeline import (
     MissingArtifactError, cmd_ablate, cmd_edit_file, cmd_evaluate, cmd_gen_data,
     cmd_immunize, cmd_report, cmd_train, run_paths,
 )
+from imukit.ppm import ArtifactError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,9 +105,9 @@ def main(argv=None):
             parser.error(f"unknown command {args.command}")
         print(f"[imukit] run directory: {run_paths(cfg).root} "
               f"(config hash {config_hash(cfg)})")
-    except ConfigError as e:
-        print(f"imukit: config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ArtifactError as e:
+        print(f"imukit: corrupt artifact: {e}", file=sys.stderr)
+        return EXIT_MISSING
     except ValueError as e:
         print(f"imukit: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

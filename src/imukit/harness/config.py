@@ -76,6 +76,17 @@ class ExperimentConfig:
             raise ConfigError("jobs must be >= 1")
         if self.ablate_images < 1 or self.ablate_repeats < 1:
             raise ConfigError("ablate_images and ablate_repeats must be >= 1")
+        if len(set(self.ablate_bins)) != len(self.ablate_bins) or any(
+                b < 2 for b in self.ablate_bins):
+            raise ConfigError(
+                f"ablate_bins must be distinct and >= 2, got {list(self.ablate_bins)}")
+        # each method sets its own mask mode, and no stage reads recorded masks
+        if self.attack.daa_mode != "dual":
+            raise ConfigError(f"attack.daa_mode is set per method; only 'dual' "
+                              f"is accepted, got {self.attack.daa_mode!r}")
+        if self.attack.record_masks:
+            raise ConfigError("attack.record_masks is not supported in an "
+                              "experiment config: no stage reads the masks")
         self.methods = tuple(self.methods)
         self.ablate_bins = tuple(self.ablate_bins)
 

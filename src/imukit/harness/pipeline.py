@@ -19,7 +19,7 @@ import numpy as np
 from imukit.attack import immunize, random_noise_delta, resolve_timesteps
 from imukit.attention_mask import aggregate, dump_debug, make_mask
 from imukit.diffusion.dataset import (
-    SPLIT_TEST, SPLIT_TRAIN, ToyDataset, make_dataset, unseen_captions,
+    SPLIT_TEST, SPLIT_TRAIN, make_dataset, unseen_captions,
 )
 from imukit.diffusion.io import load_model, save_model
 from imukit.diffusion.model import DenoiserModel, ModelConfig, predict_noise
@@ -38,7 +38,6 @@ _ROLE_MODEL = 1
 _ROLE_TRAIN = 2
 _ROLE_ATTACK = 4
 _ROLE_EDIT = 5
-_ROLE_UNSEEN = 6
 _ROLE_HEATMAP = 7
 _ROLE_ABLATE = 8
 
@@ -190,8 +189,7 @@ def cmd_gen_data(cfg):
     items = []
     for split_name, split, n in (("train", SPLIT_TRAIN, cfg.n_train),
                                  ("test", SPLIT_TEST, cfg.n_test)):
-        ds = make_dataset(cfg.seed, split, n, size=size)
-        for i, item in enumerate(ds.items):
+        for i, item in enumerate(make_dataset(cfg.seed, split, n, size=size)):
             stem = f"{split_name}_{i:03d}"
             write_ppm(paths.dataset_dir / f"{stem}.ppm", item.image)
             mask_img = np.repeat(item.mask[:, :, None].astype(np.float32), 3, axis=2)
@@ -239,8 +237,8 @@ def cmd_train(cfg):
     _write_config(cfg, paths)
     paths.model_dir.mkdir(parents=True, exist_ok=True)
 
-    train_items = ToyDataset(cfg.seed, SPLIT_TRAIN, load_split(paths, "train"))
-    test_items = ToyDataset(cfg.seed, SPLIT_TEST, load_split(paths, "test"))
+    train_items = load_split(paths, "train")
+    test_items = load_split(paths, "test")
 
     spec = cfg.model
     sched = build_schedule(spec.T, spec.beta_min, spec.beta_max)
@@ -280,7 +278,7 @@ def cmd_train(cfg):
 # ---------------------------------------------------------------------------
 
 def method_attack_config(cfg, method, seed_int):
-    kw = dict(seed=seed_int, daa_mode="dual")
+    kw = dict(seed=seed_int)
     if method == "wo-daa":
         kw["daa_mode"] = "off"
     elif method == "wo-nba":
@@ -435,7 +433,7 @@ def _defense_pass(model, cfg, idx, x0, images, prompts, features):
     edits = edit_batch(model, [(model.encode_prompt(encode_caption(caption)),
                                 _edit_rng(cfg, idx, pidx), inputs)
                                for pidx, caption in prompts], cfg.t_edit)
-    return {pidx: {label: full_report(outs[0], outs[i], model, features).to_dict()
+    return {pidx: {label: full_report(outs[0], outs[i], model, features)
                    for label, i in input_of.items()}
             for (pidx, _), outs in zip(prompts, edits)}
 
@@ -445,7 +443,7 @@ def _item_rows(model, cfg, paths, items, idx, methods):
     item = items[idx]
     features = {}
     images = {method: read_ppm(paths.immunized_image(method, idx)) for method in methods}
-    imperc = {method: full_report(item.image, x_imu, model, features).to_dict()
+    imperc = {method: full_report(item.image, x_imu, model, features)
               for method, x_imu in images.items()}
     prompts = _prompts_for(cfg, item)
     defense = _defense_pass(model, cfg, idx, item.image, images, prompts, features)

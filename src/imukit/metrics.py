@@ -9,8 +9,6 @@ perceptual distance are symmetric; VIFp is reference-first by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
@@ -26,18 +24,6 @@ DEFENSE_DIRECTIONS = {
     "vifp": "lower",
     "percep_dist": "higher",
 }
-
-
-@dataclass
-class MetricsReport:
-    psnr: float
-    ssim: float
-    vifp: float
-    percep_dist: float
-
-    def to_dict(self):
-        return {"psnr": self.psnr, "ssim": self.ssim, "vifp": self.vifp,
-                "percep_dist": self.percep_dist}
 
 
 def _check_pair(op, a, b):
@@ -180,6 +166,6 @@ def percep_dist(a, b, model, features=None):
 
 
 def full_report(a, b, model, features=None):
-    """All four metrics; features is percep_dist's optional feature dict."""
-    return MetricsReport(psnr=psnr(a, b), ssim=ssim(a, b), vifp=vifp(a, b),
-                         percep_dist=percep_dist(a, b, model, features))
+    """{metric name: value}; features is percep_dist's optional feature dict."""
+    return {"psnr": psnr(a, b), "ssim": ssim(a, b), "vifp": vifp(a, b),
+            "percep_dist": percep_dist(a, b, model, features)}

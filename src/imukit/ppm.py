@@ -10,6 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 
+class ArtifactError(ValueError):
+    """An input artifact's content is corrupt; the message starts with its path."""
+
+
 def write_ppm(path, img):
     """Write a float [0,1] (H, W, 3) array as binary P6 with maxval 255."""
     img = np.asarray(img)
@@ -41,19 +45,19 @@ def read_ppm(path):
             pos += 1
         fields.append(raw[start:pos])
     if fields[0] != b"P6":
-        raise ValueError(f"read_ppm: {path}: not a binary PPM (P6) file")
+        raise ArtifactError(f"{path}: not a binary PPM (P6) file")
     for name, value in zip(("width", "height", "maxval"), fields[1:]):
         if not value.isdigit():
-            raise ValueError(f"read_ppm: {path}: header {name} "
-                             f"{value.decode('ascii', 'replace')!r} is not a number")
+            raise ArtifactError(f"{path}: header {name} "
+                                f"{value.decode('ascii', 'replace')!r} is not a number")
     w, h, maxval = map(int, fields[1:])
     if maxval != 255:
-        raise ValueError(f"read_ppm: {path}: unsupported maxval {maxval}")
+        raise ArtifactError(f"{path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace after maxval
     expected, actual = h * w * 3, max(len(raw) - pos, 0)
     if actual < expected:
-        raise ValueError(f"read_ppm: {path}: truncated payload: expected {expected} "
-                         f"bytes, got {actual}")
+        raise ArtifactError(f"{path}: truncated payload: expected {expected} "
+                            f"bytes, got {actual}")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=expected, offset=pos)
     return (pixels.reshape(h, w, 3).astype(np.float32)) / np.float32(255.0)
 

@@ -68,15 +68,19 @@ def ref_test_items(ref_cfg):
 
 @pytest.fixture()
 def forward_calls(monkeypatch):
-    """A list that grows by the batch size of every DenoiserModel.forward_batch call."""
+    """A list that grows by the batch size of every model pass.
+
+    Every pass runs the encoder, a full forward and a feature pass alike, so
+    this counts DenoiserModel.encode calls.
+    """
     calls = []
-    original = DenoiserModel.forward_batch
+    original = DenoiserModel.encode
 
     def counting(self, xb, *args, **kwargs):
         calls.append(xb.shape[0])
         return original(self, xb, *args, **kwargs)
 
-    monkeypatch.setattr(DenoiserModel, "forward_batch", counting)
+    monkeypatch.setattr(DenoiserModel, "encode", counting)
     return calls
 
 

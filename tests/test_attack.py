@@ -138,6 +138,22 @@ def test_total_loss_zero_delta_nba_exactly_zero(rng):
     assert comps["nba"] == 0.0 and comps["nba_raw"] == 0.0
 
 
+@pytest.mark.parametrize("daa_mode,lambda_nba,passes", [
+    ("dual", 1.0, 2), ("off", 1.0, 2), ("dual", 0.0, 1), ("suppress-fixed", 0.0, 1),
+], ids=["danp", "wo-daa", "wo-nba", "sa-style"])
+def test_total_loss_runs_the_clean_branch_only_for_the_noise_term(
+        rng, forward_calls, daa_mode, lambda_nba, passes):
+    model = micro_model()
+    prompt = model.encode_prompt(IDS)
+    x0 = grid_image(rng)
+    eps = rng.standard_normal(x0.shape).astype(np.float32)
+    cfg = AttackConfig(daa_mode=daa_mode, lambda_nba=lambda_nba)
+    with Tape():
+        delta = Tensor(np.full(x0.shape, 0.01, dtype=np.float32), requires_grad=True)
+        total_loss(x0, delta, model, prompt, 5, eps, cfg)
+    assert forward_calls == [1] * passes
+
+
 def test_total_loss_branches_bit_identical_at_zero_delta(rng):
     model = micro_model()
     prompt = model.encode_prompt(IDS)
@@ -161,7 +177,8 @@ def test_total_loss_daa_only_when_lambda_nba_zero(rng):
     eps = rng.standard_normal(x0.shape).astype(np.float32)
     with Tape():
         delta = Tensor(np.zeros_like(x0), requires_grad=True)
-        loss, comps = total_loss(x0, delta, model, prompt, 5, eps, lambda_nba=0.0)
+        loss, comps = total_loss(x0, delta, model, prompt, 5, eps,
+                                 AttackConfig(lambda_nba=0.0))
     assert comps["nba"] == 0.0
     assert loss.item() == pytest.approx(comps["daa"], rel=1e-6)
     assert comps["total"] == pytest.approx(comps["daa"], rel=1e-6)

@@ -203,15 +203,6 @@ def test_gradient_map_contains_only_requires_grad_leaves():
     assert grads[x].shape == x.shape
 
 
-def test_stop_gradient():
-    x = Tensor([3.0], requires_grad=True)
-    assert np.array_equal(ad.stop_gradient(x).data, x.data)
-    with Tape() as tape:
-        y = ad.sum_(ad.mul(ad.stop_gradient(x), x))
-    # product rule with one branch severed: d/dx = stop(x) = 3, not 6
-    assert np.array_equal(tape.backward(y)[x], [3.0])
-
-
 def test_shape_errors_are_structured():
     with pytest.raises(ShapeMismatchError) as err:
         ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))

@@ -20,7 +20,7 @@ from imukit.diffusion.io import load_model, save_model
 from imukit.diffusion.sampling import EDIT_ROWS, edit
 from imukit.diffusion.text import encode_caption
 from imukit.metrics import full_report
-from imukit.ppm import read_ppm
+from imukit.ppm import ArtifactError, read_ppm
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,7 @@ def test_model_bin_wrong_payload_size_names_the_file(tmp_path, tiny_model, case)
     path = tmp_path / "model.bin"
     save_model(tiny_model, path)
     text = _damage(path, case, 4 * tiny_model.n_params())
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ArtifactError) as err:
         load_model(path)
     assert str(path) in str(err.value)
     assert text in str(err.value)
@@ -130,7 +130,7 @@ def test_delta_file_wrong_payload_size_names_the_file(tmp_path, case):
     back, meta = read_delta(path)
     assert back.tobytes() == delta.tobytes() and meta["method"] == "danp"
     text = _damage(path, case, delta.nbytes)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ArtifactError) as err:
         read_delta(path)
     assert str(path) in str(err.value)
     assert text in str(err.value)
@@ -144,11 +144,11 @@ def test_delta_file_wrong_payload_size_names_the_file(tmp_path, case):
 def test_method_attack_config(tmp_path, method, daa_mode, lambda_nba):
     cfg = tiny_experiment(tmp_path, attack={
         "iterations": 4, "timesteps": [2, 9, 17], "alpha_step": 0.0075,
-        "lambda_daa": 2.0, "lambda_nba": 0.5, "bins": 64, "daa_mode": "off"})
+        "lambda_daa": 2.0, "lambda_nba": 0.5, "bins": 64})
     acfg = method_attack_config(cfg, method, 1234)
     assert (acfg.daa_mode, acfg.lambda_nba, acfg.seed) == (daa_mode, lambda_nba, 1234)
     # every other field comes from the configured attack
-    assert dataclasses.replace(acfg, daa_mode="off", lambda_nba=0.5, seed=0) == cfg.attack
+    assert dataclasses.replace(acfg, daa_mode="dual", lambda_nba=0.5, seed=0) == cfg.attack
 
 
 def test_config_validation_errors(tmp_path):
@@ -162,6 +162,14 @@ def test_config_validation_errors(tmp_path):
         tiny_experiment(tmp_path, ablate_repeats=0)
     with pytest.raises(ConfigError):
         tiny_experiment(tmp_path, ablate_images=0)
+    for bins in ([16, 16], [1, 16]):
+        with pytest.raises(ConfigError):
+            tiny_experiment(tmp_path, ablate_bins=bins)
+    # each method sets its own mask mode, and no stage reads recorded masks
+    for key, value in (("daa_mode", "off"), ("daa_mode", "suppress-fixed"),
+                       ("record_masks", True)):
+        with pytest.raises(ConfigError):
+            tiny_experiment(tmp_path, attack={"iterations": 4, key: value})
     with pytest.raises(ConfigError):
         ExperimentConfig.load(tmp_path / "missing.json")
 
@@ -320,13 +328,13 @@ def test_evaluate_rows_edit_and_feature_pass_counts(tiny_run, forward_calls):
     want = []
     for idx, item in enumerate(items):
         imu = {m: read_ppm(paths.immunized_image(m, idx)) for m in methods}
-        imperc = {m: full_report(item.image, imu[m], model).to_dict() for m in methods}
+        imperc = {m: full_report(item.image, imu[m], model) for m in methods}
         for pidx, caption in _prompts_for(cfg, item):
             prompt = model.encode_prompt(encode_caption(caption))
             clean = edit(model, item.image, prompt, cfg.t_edit, _edit_rng(cfg, idx, pidx))
             for m in methods:
                 out = edit(model, imu[m], prompt, cfg.t_edit, _edit_rng(cfg, idx, pidx))
-                defense = full_report(clean, out, model).to_dict()
+                defense = full_report(clean, out, model)
                 row = {"image": idx, "prompt_idx": pidx, "prompt": caption, "method": m}
                 for k in METRIC_NAMES:
                     row[f"defense_{k}"] = defense[k]
@@ -447,7 +455,7 @@ def test_ablate_sweep_scores_each_image_in_one_defense_pass(tiny_run, forward_ca
             clean = edit(model, items[idx].image, prompt, cfg.t_edit, _edit_rng(cfg, idx, 0))
             x_imu = read_ppm(paths.ablate_dir / f"bins_{row['bins']}_img_{idx:03d}.ppm")
             out = edit(model, x_imu, prompt, cfg.t_edit, _edit_rng(cfg, idx, 0))
-            for m, v in full_report(clean, out, model).to_dict().items():
+            for m, v in full_report(clean, out, model).items():
                 vals[m].append(v)
         for m in METRIC_NAMES:
             assert row[f"defense_{m}"] == float(np.mean(vals[m]))
@@ -534,6 +542,22 @@ def test_cli_full_pipeline_and_exit_codes(tmp_path):
     diverge.save(dpath)
     assert main(["gen-data", "--config", str(dpath)]) == 0
     assert main(["train", "--config", str(dpath)]) == 4
+
+
+@pytest.mark.parametrize("command,damaged", [
+    ("evaluate", "model/model.bin"), ("evaluate", "dataset/test_000.ppm"),
+    ("report", "evaluate/results.json"),
+])
+def test_cli_corrupt_artifact_exits_3_naming_it(tiny_run, tmp_path, capsys,
+                                                command, damaged):
+    cfg = dataclasses.replace(tiny_run, out_dir=str(tmp_path))
+    shutil.copytree(run_paths(tiny_run).root, run_paths(cfg).root)
+    path = run_paths(cfg).root / damaged
+    path.write_bytes(path.read_bytes()[:-7])
+    cfg_path = tmp_path / "cfg.json"
+    cfg.save(cfg_path)
+    assert main([command, "--config", str(cfg_path)]) == 3
+    assert str(path) in capsys.readouterr().err
 
 
 def test_cli_edit_command(tmp_path, tiny_run):

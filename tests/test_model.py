@@ -112,6 +112,29 @@ def test_bottleneck_features_deterministic(tiny_model, rng):
     assert np.array_equal(f1, f2)
 
 
+def test_bottleneck_features_run_the_encoder_only(tiny_model, rng, monkeypatch):
+    """A feature pass runs no decoder, and its features are the bottleneck
+    activations of a full forward of the same input, bit for bit."""
+    x = rng.random((16, 16, 3)).astype(np.float32)
+    neutral = tiny_model.encode_prompt([PAD_ID] * 8)
+    encoded = []
+    original = DenoiserModel.encode
+
+    def recording(self, *args, **kwargs):
+        encoded.append(original(self, *args, **kwargs))
+        return encoded[-1]
+
+    monkeypatch.setattr(DenoiserModel, "encode", recording)
+    predict_noise(tiny_model, x, 1, neutral)
+    full = encoded[-1][2].data[0]
+
+    def no_decoder(self, *args, **kwargs):
+        raise AssertionError("bottleneck_features called forward_batch")
+
+    monkeypatch.setattr(DenoiserModel, "forward_batch", no_decoder)
+    assert np.array_equal(bottleneck_features(tiny_model, x, 1, neutral), full)
+
+
 def test_init_is_seeded():
     sched = build_schedule(20)
     cfg = ModelConfig(image_size=16, widths=(8, 12, 16), d_k=8, d_text=8, d_time=16)

@@ -85,10 +85,9 @@ def test_divergence_aborts_with_step():
 
 
 def test_empty_dataset_rejected():
-    model, ds = small_setup()
-    ds.items = []
+    model, _ = small_setup()
     with pytest.raises(ValueError):
-        train(model, ds, TrainConfig(steps=1))
+        train(model, [], TrainConfig(steps=1))
 
 
 def test_training_loss_gradient_matches_fd_on_slice(rng):
