@@ -51,7 +51,6 @@ class AggregatedAttention:
 
     map: Tensor
     pre_norm: Tensor
-    token_indices: tuple
     degenerate: bool = False
 
 
@@ -83,7 +82,7 @@ def aggregate(record, prompt):
     if token_idx.size == 0:
         raise ValueError("aggregate: prompt has no content tokens")
 
-    target = max(h for h, _ in record.resolutions)
+    target = max(maps.shape[0] for maps in record.per_block)
     sel = np.zeros((record.per_block[0].shape[-1], 1), dtype=np.float32)
     sel[token_idx, 0] = 1.0 / token_idx.size
     sel_t = Tensor(sel)
@@ -104,13 +103,9 @@ def aggregate(record, prompt):
     lo, hi = pre.data.min(), pre.data.max()
     if hi <= lo:
         zero = Tensor(np.zeros((target, target), dtype=np.float32))
-        return AggregatedAttention(map=zero, pre_norm=pre,
-                                   token_indices=tuple(int(i) for i in token_idx),
-                                   degenerate=True)
+        return AggregatedAttention(map=zero, pre_norm=pre, degenerate=True)
     norm = Tensor((pre.data - lo) / (hi - lo))
-    return AggregatedAttention(map=norm, pre_norm=pre,
-                               token_indices=tuple(int(i) for i in token_idx),
-                               degenerate=False)
+    return AggregatedAttention(map=norm, pre_norm=pre, degenerate=False)
 
 
 # Far above the gap between cumulative and slice sums (~L * 1e-16 per term)

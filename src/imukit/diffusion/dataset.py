@@ -37,6 +37,9 @@ _MIN_CONTRAST = 180  # L1 distance in 8-bit units between fg and bg colors
 SPLIT_TRAIN = 0
 SPLIT_TEST = 1
 
+# what each unseen caption variant changes, in order; n_variants takes a prefix
+UNSEEN_PLANS = ("fg", "shape", "bg", "fg+bg", "fg+shape")
+
 
 @dataclass
 class ToyItem:
@@ -105,7 +108,7 @@ def make_dataset(seed, split, n, size=32):
     return [render_item(seed, split, i, size=size) for i in range(n)]
 
 
-def unseen_captions(seed, index, item_meta, n_variants=5):
+def unseen_captions(seed, index, item_meta, n_variants=len(UNSEEN_PLANS)):
     """Deterministic edit captions that differ semantically from the original.
 
     Variants change the shape color, the shape kind, the background color, or
@@ -126,8 +129,7 @@ def unseen_captions(seed, index, item_meta, n_variants=5):
     variants = []
     seen = {(fg, shape, bg)}
 
-    plans = ["fg", "shape", "bg", "fg+bg", "fg+shape"]
-    for plan in plans[:n_variants]:
+    for plan in UNSEEN_PLANS[:n_variants]:
         for _ in range(32):
             nfg, nshape, nbg = fg, shape, bg
             if "fg" in plan:

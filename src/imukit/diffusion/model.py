@@ -37,9 +37,8 @@ class ModelConfig:
 
 @dataclass
 class PromptEmbedding:
-    """Caption token ids plus their rows from the learned embedding table."""
+    """A caption's rows from the learned embedding table."""
 
-    token_ids: tuple
     matrix: Tensor           # (max_tokens, d_text)
     content_mask: np.ndarray  # bool (max_tokens,), False on padding
 
@@ -54,7 +53,6 @@ class AttentionRecord:
     """
 
     per_block: list = field(default_factory=list)
-    resolutions: list = field(default_factory=list)
 
 
 N_POS_CHANNELS = 6
@@ -153,8 +151,7 @@ class DenoiserModel:
             raise ValueError("encode_prompt: token id outside vocabulary")
         mat = ad.reshape(self._embed_ids(ids[None, :]),
                          (self.config.max_tokens, self.config.d_text))
-        return PromptEmbedding(token_ids=tuple(int(i) for i in ids),
-                               matrix=mat, content_mask=ids != PAD_ID)
+        return PromptEmbedding(matrix=mat, content_mask=ids != PAD_ID)
 
     # -- time ---------------------------------------------------------------
 
@@ -188,7 +185,6 @@ class DenoiserModel:
             if bsz != 1:
                 raise ValueError("attention capture requires a single-image batch")
             record.per_block.append(ad.reshape(attn, (h, w, attn.shape[-1])))
-            record.resolutions.append((h, w))
         return ad.attend(x4, attn, pm, self.params[prefix + "_v"])
 
     def _level(self, x4, t, prefix):

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from imukit.autodiff import NonFiniteError
 from imukit.diffusion.training import TrainingDiverged
-from imukit.harness.config import ConfigError, ExperimentConfig, METHODS, config_hash
+from imukit.harness.config import ExperimentConfig, METHODS, check_methods, config_hash
 from imukit.harness.pipeline import (
     MissingArtifactError, cmd_ablate, cmd_edit_file, cmd_evaluate, cmd_gen_data,
     cmd_immunize, cmd_report, cmd_train, run_paths,
@@ -75,9 +75,7 @@ def _parse_methods(args):
     if not raw:
         return None
     methods = tuple(m.strip() for m in raw.split(",") if m.strip())
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+    check_methods(methods)
     return methods
 
 

@@ -6,7 +6,10 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from imukit.attack import AttackConfig
+from imukit.attack import AttackConfig, resolve_timesteps
+from imukit.diffusion.dataset import UNSEEN_PLANS
+from imukit.diffusion.model import ModelConfig
+from imukit.diffusion.schedule import build_schedule
 from imukit.diffusion.training import TrainConfig
 from imukit.harness.artifacts import write_json
 
@@ -23,6 +26,12 @@ class ConfigError(ValueError):
     """Invalid or unreadable experiment configuration."""
 
 
+def check_methods(methods):
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+
+
 @dataclass
 class ModelSpec:
     image_size: int = 32
@@ -36,6 +45,12 @@ class ModelSpec:
 
     def __post_init__(self):
         self.widths = tuple(self.widths)
+
+    def build(self):
+        """(ModelConfig, NoiseSchedule); ValueError when either is invalid."""
+        mconfig = ModelConfig(image_size=self.image_size, widths=self.widths,
+                              d_k=self.d_k, d_text=self.d_text, d_time=self.d_time)
+        return mconfig, build_schedule(self.T, self.beta_min, self.beta_max)
 
 
 _SECTIONS = {"model": ModelSpec, "train": TrainConfig, "attack": AttackConfig}
@@ -67,9 +82,13 @@ class ExperimentConfig:
         if self.edit_prompts not in EDIT_POLICIES:
             raise ConfigError(
                 f"edit_prompts must be one of {EDIT_POLICIES}, got {self.edit_prompts!r}")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+        check_methods(self.methods)
+        if not 0 <= self.n_unseen <= len(UNSEEN_PLANS):
+            raise ConfigError(f"n_unseen must be in [0, {len(UNSEEN_PLANS)}], "
+                              f"got {self.n_unseen}")
+        if self.n_unseen == 0 and self.edit_prompts != "original":
+            raise ConfigError(
+                f"edit_prompts {self.edit_prompts!r} needs n_unseen >= 1")
         if not (0.0 <= self.edit_t_frac < 1.0):
             raise ConfigError(f"edit_t_frac must be in [0, 1), got {self.edit_t_frac}")
         if self.jobs < 1:
@@ -80,13 +99,15 @@ class ExperimentConfig:
                 b < 2 for b in self.ablate_bins):
             raise ConfigError(
                 f"ablate_bins must be distinct and >= 2, got {list(self.ablate_bins)}")
-        # each method sets its own mask mode, and no stage reads recorded masks
         if self.attack.daa_mode != "dual":
             raise ConfigError(f"attack.daa_mode is set per method; only 'dual' "
                               f"is accepted, got {self.attack.daa_mode!r}")
-        if self.attack.record_masks:
-            raise ConfigError("attack.record_masks is not supported in an "
-                              "experiment config: no stage reads the masks")
+        # what train and immunize would reject only after gen-data has run
+        try:
+            _, schedule = self.model.build()
+            resolve_timesteps(self.attack, schedule)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         self.methods = tuple(self.methods)
         self.ablate_bins = tuple(self.ablate_bins)
 
@@ -98,7 +119,6 @@ class ExperimentConfig:
         """The config.json document; the train and attack seeds follow the run seed."""
         d = asdict(self)
         d["train"]["seed"] = d["attack"]["seed"] = self.seed
-        del d["attack"]["record_masks"]
         return d
 
     def hashable_dict(self):

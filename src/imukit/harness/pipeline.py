@@ -16,15 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
-from imukit.attack import immunize, random_noise_delta, resolve_timesteps
+from imukit.attack import (
+    PerturbationState, immunize, random_noise_delta, resolve_timesteps,
+)
 from imukit.attention_mask import aggregate, dump_debug, make_mask
 from imukit.diffusion.dataset import (
     SPLIT_TEST, SPLIT_TRAIN, make_dataset, unseen_captions,
 )
 from imukit.diffusion.io import load_model, save_model
-from imukit.diffusion.model import DenoiserModel, ModelConfig, predict_noise
+from imukit.diffusion.model import DenoiserModel, predict_noise
 from imukit.diffusion.sampling import edit, edit_batch
-from imukit.diffusion.schedule import build_schedule, forward_diffuse
+from imukit.diffusion.schedule import forward_diffuse
 from imukit.diffusion.text import encode_caption
 from imukit.diffusion.training import train
 from imukit.harness.artifacts import read_json, write_delta, write_json
@@ -175,7 +177,6 @@ class LoadedItem:
     image: np.ndarray
     tokens: tuple
     caption: str
-    mask: np.ndarray
     unseen: list = field(default_factory=list)
 
 
@@ -219,10 +220,9 @@ def load_split(paths, split_name):
         if entry["split"] != split_name:
             continue
         img = read_ppm(paths.dataset_dir / entry["image"])
-        mask = read_ppm(paths.dataset_dir / entry["mask"])[:, :, 0] > 0.5
         out.append(LoadedItem(
             image=img, tokens=tuple(entry["tokens"]), caption=entry["caption"],
-            mask=mask, unseen=entry.get("unseen_captions", [])))
+            unseen=entry.get("unseen_captions", [])))
     return out
 
 
@@ -240,10 +240,7 @@ def cmd_train(cfg):
     train_items = load_split(paths, "train")
     test_items = load_split(paths, "test")
 
-    spec = cfg.model
-    sched = build_schedule(spec.T, spec.beta_min, spec.beta_max)
-    mconfig = ModelConfig(image_size=spec.image_size, widths=spec.widths,
-                          d_k=spec.d_k, d_text=spec.d_text, d_time=spec.d_time)
+    mconfig, sched = cfg.model.build()
     model = DenoiserModel.init(mconfig, seed=_derive_seed(cfg.seed, _ROLE_MODEL),
                                schedule=sched)
     tcfg = replace(cfg.train, seed=_derive_seed(cfg.seed, _ROLE_TRAIN))
@@ -298,22 +295,19 @@ def _loss_weights(acfg):
     return weights
 
 
-def run_method_on_image(model, method, x0, tokens, acfg):
-    """Dispatch one (method, image) immunization; returns (x_imu, state or None)."""
-    if method == "none":
-        return x0.copy(), None
-    if method == "random-noise":
-        return random_noise_delta(x0, acfg)
-    prompt = model.encode_prompt(tokens)
-    return immunize(x0, prompt, model, acfg)
-
-
 def _immunize_one(model, cfg, paths, items, method, idx):
     item = items[idx]
     seed_int = _derive_seed(cfg.seed, _ROLE_ATTACK, METHOD_CODES[method], idx)
     acfg = method_attack_config(cfg, method, seed_int)
     t0 = time.perf_counter()
-    x_imu, state = run_method_on_image(model, method, item.image, item.tokens, acfg)
+    state = PerturbationState()
+    if method == "none":
+        x_imu = item.image
+    elif method == "random-noise":
+        x_imu = random_noise_delta(item.image, acfg)
+    else:
+        prompt = model.encode_prompt(item.tokens)
+        x_imu, state = immunize(item.image, prompt, model, acfg)
     elapsed = time.perf_counter() - t0
 
     write_ppm(paths.immunized_image(method, idx), x_imu)
@@ -322,7 +316,7 @@ def _immunize_one(model, cfg, paths, items, method, idx):
                 meta={"method": method, "image_index": idx,
                       "gamma": acfg.gamma, "config_hash": config_hash(cfg)})
     cfg_echo = asdict(acfg)
-    for key in ("lambda_daa", "lambda_nba", "record_masks"):
+    for key in ("lambda_daa", "lambda_nba"):
         del cfg_echo[key]
     if method not in ("none", "random-noise"):
         cfg_echo["timesteps"] = list(resolve_timesteps(acfg, model.schedule))
@@ -330,11 +324,11 @@ def _immunize_one(model, cfg, paths, items, method, idx):
         "method": method, "image_index": idx,
         "config": cfg_echo,
         "loss_weights": _loss_weights(acfg),
-        "trace": state.trace if state else [],
-        "degenerate_mask_count": state.degenerate_count if state else 0,
+        "trace": state.trace,
+        "degenerate_mask_count": state.degenerate_count,
         "final_linf": float(np.abs(delta).max()),
-        "nba_scale": state.nba_scale if state else None,
-        "warnings": state.warnings if state else [],
+        "nba_scale": None if method == "none" else 1.0 / delta.size,
+        "warnings": state.warnings,
         "wall_time_s": round(elapsed, 4),
     }
     write_json(paths.attack_report(method, idx), report)
@@ -583,8 +577,8 @@ def cmd_ablate(cfg):
                 acfg = method_attack_config(
                     cfg, "danp", _derive_seed(cfg.seed, _ROLE_ABLATE, bins, idx))
                 acfg = replace(acfg, bins=bins, iterations=cfg.ablate_iterations)
-                x_imu, _ = run_method_on_image(model, "danp", item.image,
-                                               item.tokens, acfg)
+                x_imu, _ = immunize(item.image, model.encode_prompt(item.tokens),
+                                    model, acfg)
                 if rep == 0:
                     write_ppm(paths.bins_image(bins, idx), x_imu)
             total_iters = cfg.ablate_iterations * len(subset)

@@ -80,13 +80,12 @@ def ssim(a, b):
     return float(np.mean(num / den))
 
 
-def vifp(ref, dist, return_flag=False):
+def vifp(ref, dist):
     """Pixel-domain visual information fidelity over 4 dyadic scales.
 
     Grayscale inputs are rescaled to 0-255 and smoothed per scale with the
     classic kernel sizes; scalar noise variance is 2. A constant reference
-    carries no information, so that degenerate case is defined as 1.0 (with
-    the flag when requested).
+    carries no information, so that degenerate case is defined as 1.0.
     """
     ref, dist = _check_pair("vifp", ref, dist)
     r = _gray(ref) * 255.0
@@ -121,11 +120,9 @@ def vifp(ref, dist, return_flag=False):
         sv_sq[sv_sq <= eps] = eps
         num += np.sum(np.log10(1.0 + g * g * s1_sq / (sv_sq + sigma_nsq)))
         den += np.sum(np.log10(1.0 + s1_sq / sigma_nsq))
-    degenerate = den <= 0.0 or not np.isfinite(num / den)
-    value = 1.0 if degenerate else float(num / den)
-    if return_flag:
-        return value, degenerate
-    return value
+    if den <= 0.0 or not np.isfinite(num / den):
+        return 1.0
+    return float(num / den)
 
 
 def percep_features(img, model):

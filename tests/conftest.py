@@ -1,9 +1,25 @@
 import numpy as np
 import pytest
 
+import imukit.attack as attack
 from imukit.diffusion import DenoiserModel, ModelConfig, build_schedule, load_model
+from imukit.harness.artifacts import read_json
 from imukit.harness.config import ExperimentConfig
 from imukit.harness.pipeline import cmd_gen_data, cmd_train, load_split, run_paths
+from imukit.ppm import read_ppm
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "reference: needs the trained default-scale reference run")
+
+
+def pytest_collection_modifyitems(items):
+    """Mark every test that trains or reads the reference run, so that
+    `pytest -m "not reference"` runs the rest in a fraction of the time."""
+    for item in items:
+        if "ref_cfg" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.reference)
 
 
 def tiny_experiment(out_dir, seed=0, **overrides):
@@ -29,6 +45,14 @@ def tiny_experiment(out_dir, seed=0, **overrides):
     }
     d.update(overrides)
     return ExperimentConfig.from_dict(d)
+
+
+def shape_masks(paths, split):
+    """The split's rendered shape masks (bool H x W), read from the mask PPMs
+    that gen-data writes, in manifest order."""
+    return [read_ppm(paths.dataset_dir / entry["mask"])[:, :, 0] > 0.5
+            for entry in read_json(paths.manifest)["items"]
+            if entry["split"] == split]
 
 
 @pytest.fixture(scope="session")
@@ -82,6 +106,21 @@ def forward_calls(monkeypatch):
 
     monkeypatch.setattr(DenoiserModel, "encode", counting)
     return calls
+
+
+@pytest.fixture()
+def mask_calls(monkeypatch):
+    """Every BinaryMask the attack's dynamic threshold builds, in call order."""
+    masks = []
+    original = attack.make_mask
+
+    def recording(*args, **kwargs):
+        mask = original(*args, **kwargs)
+        masks.append(mask)
+        return mask
+
+    monkeypatch.setattr(attack, "make_mask", recording)
+    return masks
 
 
 @pytest.fixture(scope="session")

@@ -75,7 +75,7 @@ def agg_of(att):
     lo, hi = att.min(), att.max()
     norm = (att - lo) / (hi - lo) if hi > lo else np.zeros_like(att)
     return AggregatedAttention(map=Tensor(norm), pre_norm=Tensor(att),
-                               token_indices=(0,), degenerate=hi <= lo)
+                               degenerate=hi <= lo)
 
 
 def mask_of(m):
@@ -264,9 +264,8 @@ def test_immunize_zero_iterations_is_identity(rng):
     model = micro_model()
     prompt = model.encode_prompt(IDS)
     x0 = grid_image(rng)
-    x_imu, state = immunize(x0, prompt, model, AttackConfig(iterations=0, seed=1))
+    x_imu, _ = immunize(x0, prompt, model, AttackConfig(iterations=0, seed=1))
     assert np.array_equal(x_imu, x0)
-    assert state.final_linf == 0.0
 
 
 def test_immunize_budget_and_range(rng):
@@ -275,7 +274,6 @@ def test_immunize_budget_and_range(rng):
     x0 = grid_image(rng)
     cfg = AttackConfig(iterations=6, seed=2)
     x_imu, state = immunize(x0, prompt, model, cfg)
-    assert state.final_linf <= cfg.gamma + 1e-9
     assert np.abs(x_imu - x0).max() <= cfg.gamma + 1e-9
     assert x_imu.min() >= 0.0 and x_imu.max() <= 1.0
     assert len(state.trace) == 6
@@ -289,7 +287,6 @@ def test_immunize_deterministic(rng):
     a, sa = immunize(x0, prompt, model, cfg)
     b, sb = immunize(x0, prompt, model, cfg)
     assert np.array_equal(a, b)
-    assert np.array_equal(sa.delta, sb.delta)
     assert sa.trace == sb.trace
 
 
@@ -300,8 +297,8 @@ def test_sign_update_steps_are_alpha_or_pinned(rng):
     prompt = model.encode_prompt(IDS)
     x0 = grid_image(rng)
     base = dict(seed=9, snap_8bit=False, gamma=0.03, alpha_step=0.012)
-    d1 = immunize(x0, prompt, model, AttackConfig(iterations=1, **base))[1].delta
-    d2 = immunize(x0, prompt, model, AttackConfig(iterations=2, **base))[1].delta
+    d1 = immunize(x0, prompt, model, AttackConfig(iterations=1, **base))[0] - x0
+    d2 = immunize(x0, prompt, model, AttackConfig(iterations=2, **base))[0] - x0
     step = (d2 - d1).astype(np.float64)
     alpha = 0.012
     moved = np.isclose(np.abs(step), np.float32(alpha), atol=1e-7)
@@ -342,31 +339,28 @@ def test_degenerate_attention_falls_back_to_noise_term(rng):
     assert not np.array_equal(x_imu, x0)  # the noise term still attacks
 
 
-def test_masks_recomputed_per_timestep(rng):
+def test_masks_recomputed_per_timestep(rng, mask_calls):
     model = micro_model()
     prompt = model.encode_prompt(IDS)
     x0 = grid_image(rng)
-    cfg = AttackConfig(iterations=3, seed=4, record_masks=True)
-    _, state = immunize(x0, prompt, model, cfg)
+    cfg = AttackConfig(iterations=3, seed=4)
+    immunize(x0, prompt, model, cfg)
     ts = resolve_timesteps(cfg, model.schedule)
-    assert len(state.mask_records) == 3 * len(ts)
-    for rec in state.mask_records:
-        assert set(np.unique(rec["mask"])).issubset({0, 1})
-    per_iter = {}
-    for rec in state.mask_records:
-        per_iter.setdefault(rec["iteration"], []).append(rec["timestep"])
-    assert all(sorted(v) == sorted(ts) for v in per_iter.values())
+    assert [m.timestep for m in mask_calls] == list(ts) * 3
+    for m in mask_calls:
+        assert set(np.unique(m.mask)).issubset({0, 1})
 
 
 def test_random_noise_baseline(rng):
     x0 = grid_image(rng, size=16)
     cfg = AttackConfig(seed=8)
-    a, state = random_noise_delta(x0, cfg)
-    b, _ = random_noise_delta(x0, cfg)
+    a = random_noise_delta(x0, cfg)
+    b = random_noise_delta(x0, cfg)
     assert np.array_equal(a, b)
     assert np.abs(a - x0).max() <= cfg.gamma + 1e-9
     assert a.min() >= 0.0 and a.max() <= 1.0
     inner = (x0 > cfg.gamma) & (x0 < 1.0 - cfg.gamma)
-    snapped = np.abs(state.delta[inner]) * 255.0
+    delta = a - x0
+    snapped = np.abs(delta[inner]) * 255.0
     assert np.allclose(snapped, np.rint(snapped), atol=1e-4)
-    assert np.abs(state.delta[inner]).min() > 0.0
+    assert np.abs(delta[inner]).min() > 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import shape_masks
 from imukit.attention_mask import (
     AggregatedAttention, BinaryMask, DegenerateHistogramError, KapurHistogram,
     aggregate, dump_debug, fixed_threshold_mask, histogram_of, kapur_threshold,
@@ -10,6 +11,7 @@ from imukit.attention_mask import (
 from imukit import autodiff as ad
 from imukit.autodiff import Tape, Tensor
 from imukit.diffusion.model import AttentionRecord, PromptEmbedding
+from imukit.harness.pipeline import run_paths
 from oracles import (
     fd_agreement, kapur_bruteforce, kapur_bruteforce_stacked, kapur_slice_scan,
     numeric_grad,
@@ -18,17 +20,14 @@ from oracles import (
 
 def fake_prompt(content):
     mask = np.asarray(content, dtype=bool)
-    return PromptEmbedding(token_ids=tuple(range(mask.size)),
-                           matrix=Tensor(np.zeros((mask.size, 4), dtype=np.float32)),
+    return PromptEmbedding(matrix=Tensor(np.zeros((mask.size, 4), dtype=np.float32)),
                            content_mask=mask)
 
 
 def record_of(*maps):
     rec = AttentionRecord()
     for m in maps:
-        t = Tensor(np.asarray(m, dtype=np.float32))
-        rec.per_block.append(t)
-        rec.resolutions.append(t.shape[:2])
+        rec.per_block.append(Tensor(np.asarray(m, dtype=np.float32)))
     return rec
 
 
@@ -233,7 +232,7 @@ def test_aggregate_is_differentiable(rng):
     prompt = fake_prompt([True, True])
     x = Tensor(raw, requires_grad=True)
     with Tape() as tape:
-        rec = AttentionRecord(per_block=[x], resolutions=[(4, 4)])
+        rec = AttentionRecord(per_block=[x])
         agg = aggregate(rec, prompt)
         y = ad.frobenius_sq(agg.pre_norm)
     got = tape.backward(y)[x]
@@ -258,8 +257,7 @@ def test_aggregate_is_differentiable(rng):
 def bimodal_agg():
     v = np.full((4, 4), 0.1, dtype=np.float32)
     v[2:, :] = 0.9
-    return AggregatedAttention(map=Tensor(v), pre_norm=Tensor(v),
-                               token_indices=(0,), degenerate=False)
+    return AggregatedAttention(map=Tensor(v), pre_norm=Tensor(v), degenerate=False)
 
 
 def test_bimodal_mask_selects_upper_mode():
@@ -273,8 +271,7 @@ def test_bimodal_mask_selects_upper_mode():
 
 def test_constant_agg_gives_flagged_zero_mask():
     v = np.zeros((4, 4), dtype=np.float32)
-    agg = AggregatedAttention(map=Tensor(v), pre_norm=Tensor(v),
-                              token_indices=(0,), degenerate=True)
+    agg = AggregatedAttention(map=Tensor(v), pre_norm=Tensor(v), degenerate=True)
     bm = make_mask(agg, 64)
     assert bm.degenerate
     assert bm.mask.sum() == 0
@@ -284,8 +281,7 @@ def test_mask_binary_and_both_classes_present(rng):
     for _ in range(20):
         v = rng.random((8, 8)).astype(np.float32)
         v = (v - v.min()) / (v.max() - v.min())
-        agg = AggregatedAttention(map=Tensor(v), pre_norm=Tensor(v),
-                                  token_indices=(0,), degenerate=False)
+        agg = AggregatedAttention(map=Tensor(v), pre_norm=Tensor(v), degenerate=False)
         bm = make_mask(agg, 32)
         assert set(np.unique(bm.mask)).issubset({0, 1})
         assert 0 < bm.mask.sum() < bm.mask.size
@@ -314,19 +310,19 @@ def test_histogram_binning_edges():
 def test_fixed_threshold_mask_uses_unnormalized_map():
     pre = np.array([[0.01, 0.03], [0.5, 0.0]], dtype=np.float32)
     agg = AggregatedAttention(map=Tensor(np.zeros((2, 2), dtype=np.float32)),
-                              pre_norm=Tensor(pre), token_indices=(0,),
-                              degenerate=False)
+                              pre_norm=Tensor(pre), degenerate=False)
     bm = fixed_threshold_mask(agg, 0.02)
     assert np.array_equal(bm.mask, [[0, 1], [1, 0]])
     assert bm.threshold_used == pytest.approx(0.02)
 
 
-def test_mask_iou_against_ground_truth_shape(ref_model, ref_test_items):
+def test_mask_iou_against_ground_truth_shape(ref_cfg, ref_model, ref_test_items):
     """Localization regression: mean mask IoU with the rendered shape mask
     stays above the floor measured on the reference model."""
     from imukit.diffusion import forward_diffuse, predict_noise
     ious = []
-    for item in ref_test_items:
+    shapes = shape_masks(run_paths(ref_cfg), "test")
+    for item, shape in zip(ref_test_items, shapes, strict=True):
         prompt = ref_model.encode_prompt(item.tokens)
         gen = np.random.default_rng(11)
         eps = gen.standard_normal(item.image.shape).astype(np.float32)
@@ -334,7 +330,7 @@ def test_mask_iou_against_ground_truth_shape(ref_model, ref_test_items):
         _, rec = predict_noise(ref_model, x_t, 25, prompt, capture_attention=True)
         agg = aggregate(rec, prompt)
         bm = make_mask(agg, 128, timestep=25)
-        gt = item.mask.reshape(16, 2, 16, 2).mean(axis=(1, 3)) > 0.5
+        gt = shape.reshape(16, 2, 16, 2).mean(axis=(1, 3)) > 0.5
         pred = bm.mask.astype(bool)
         union = (pred | gt).sum()
         ious.append(((pred & gt).sum() / union) if union else 0.0)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tiny_experiment
+from conftest import shape_masks, tiny_experiment
 from imukit.harness.cli import build_parser, load_config, main
 from imukit.harness.config import ConfigError, ExperimentConfig, config_hash
 from imukit.harness.pipeline import (
@@ -71,7 +71,7 @@ def test_config_hashes_are_pinned(tmp_path):
 
 @pytest.mark.parametrize("section,key", [
     (None, "bogus"), ("model", "bogus"), ("model", "seed"), ("train", "bogus"),
-    ("attack", "bogus"),
+    ("attack", "bogus"), ("attack", "record_masks"),
 ])
 def test_config_unknown_key_is_rejected(tmp_path, section, key):
     d = tiny_experiment(tmp_path).to_dict()
@@ -165,11 +165,25 @@ def test_config_validation_errors(tmp_path):
     for bins in ([16, 16], [1, 16]):
         with pytest.raises(ConfigError):
             tiny_experiment(tmp_path, ablate_bins=bins)
-    # each method sets its own mask mode, and no stage reads recorded masks
-    for key, value in (("daa_mode", "off"), ("daa_mode", "suppress-fixed"),
-                       ("record_masks", True)):
+    # each method sets its own mask mode
+    for mode in ("off", "suppress-fixed"):
         with pytest.raises(ConfigError):
-            tiny_experiment(tmp_path, attack={"iterations": 4, key: value})
+            tiny_experiment(tmp_path, attack={"iterations": 4, "daa_mode": mode})
+    # rejected at load, not clamped or left to a later stage
+    for n_unseen in (-1, 9):
+        with pytest.raises(ConfigError):
+            tiny_experiment(tmp_path, n_unseen=n_unseen)
+    for policy in ("unseen", "both"):
+        with pytest.raises(ConfigError):
+            tiny_experiment(tmp_path, n_unseen=0, edit_prompts=policy)
+    tiny_experiment(tmp_path, n_unseen=0)
+    for timesteps in ([25], [0, 9], [19, 20]):
+        with pytest.raises(ConfigError):
+            tiny_experiment(tmp_path, attack={"iterations": 4, "timesteps": timesteps})
+    model = tiny_experiment(tmp_path).to_dict()["model"]
+    for key, value in (("image_size", 18), ("T", 1), ("beta_min", 0.5)):
+        with pytest.raises(ConfigError):
+            tiny_experiment(tmp_path, model={**model, key: value})
     with pytest.raises(ConfigError):
         ExperimentConfig.load(tmp_path / "missing.json")
 
@@ -200,8 +214,24 @@ def test_gen_data_single_item(tmp_path):
 
 def test_gen_data_mask_coverage(tiny_run):
     for split in ("train", "test"):
-        for item in load_split(run_paths(tiny_run), split):
-            assert 0.05 <= item.mask.mean() <= 0.60
+        for mask in shape_masks(run_paths(tiny_run), split):
+            assert 0.05 <= mask.mean() <= 0.60
+
+
+def test_stages_run_without_the_mask_ppms(tiny_run, tmp_path):
+    """gen-data writes the shape masks for inspection; no stage reads them."""
+    cfg = dataclasses.replace(tiny_run, out_dir=str(tmp_path))
+    paths = run_paths(cfg)
+    shutil.copytree(run_paths(tiny_run).root, paths.root)
+    masks = list(paths.dataset_dir.glob("*_mask.ppm"))
+    assert len(masks) == cfg.n_train + cfg.n_test
+    for mask in masks:
+        mask.unlink()
+    assert len(load_split(paths, "train")) == cfg.n_train
+    assert len(load_split(paths, "test")) == cfg.n_test
+    cmd_evaluate(cfg)
+    assert (paths.results_csv.read_bytes()
+            == run_paths(tiny_run).results_csv.read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +621,15 @@ def test_cli_seed_override_changes_hash(tmp_path):
 def test_cli_rejects_zero_jobs(tmp_path):
     assert main(["gen-data", "--out", str(tmp_path), "--jobs", "0"]) == 2
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_rejects_out_of_range_timesteps_before_writing(tmp_path):
+    d = tiny_experiment(tmp_path / "runs").to_dict()
+    d["attack"]["timesteps"] = [25]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(d))
+    assert main(["gen-data", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_overrides_seed_out_and_jobs(tmp_path):

@@ -93,8 +93,7 @@ def test_vifp_noise_loses_information(rng):
 
 def test_vifp_constant_reference_flagged():
     x = np.full((32, 32, 3), 0.5)
-    val, degenerate = vifp(x, x, return_flag=True)
-    assert val == 1.0 and degenerate
+    assert vifp(x, x) == 1.0
 
 
 # -- percep_dist ------------------------------------------------------------

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import shape_masks
 from imukit.diffusion import DenoiserModel, ModelConfig, build_schedule, edit, reverse_step
 from imukit.diffusion.sampling import EDIT_ROWS, edit_batch
+from imukit.harness.pipeline import run_paths
 
 
 @pytest.fixture()
@@ -83,21 +85,22 @@ def test_trained_trajectory_envelope(ref_model, ref_test_items):
     assert min(fractions) >= 0.95
 
 
-def test_edit_shifts_color_toward_caption(ref_model, ref_test_items):
+def test_edit_shifts_color_toward_caption(ref_cfg, ref_model, ref_test_items):
     """Editing a red shape under a 'blue ...' caption drives the red-minus-blue
     channel difference strongly down on the shape (direction pinned on the
     reference model; magnitude logged, not asserted)."""
-    red_items = [it for it in ref_test_items if it.caption.split()[0] == "red"]
+    shapes = shape_masks(run_paths(ref_cfg), "test")
+    red_items = [(it, m) for it, m in zip(ref_test_items, shapes, strict=True)
+                 if it.caption.split()[0] == "red"]
     if not red_items:
         pytest.skip("no red test items at this seed")
     from imukit.diffusion.text import encode_caption
     drops = []
-    for item in red_items:
+    for item, m in red_items:
         words = item.caption.split()
         words[0] = "blue"
         prompt = ref_model.encode_prompt(encode_caption(words))
         out = edit(ref_model, item.image, prompt, 30, np.random.default_rng(5))
-        m = item.mask
         before = float((item.image[m, 0] - item.image[m, 2]).mean())
         after = float((out[m, 0] - out[m, 2]).mean())
         drops.append(before - after)
