@@ -1,12 +1,12 @@
 """Immunization attack: dual attention manipulation plus noise-prediction drift.
 
-Per iteration and per attacked timestep, the clean and perturbed images are
-noised with the SAME freshly drawn eps, the perturbed branch's attention is
+Per iteration and per attacked timestep, the perturbed image is noised with a
+freshly drawn eps and passed through the model once. Its attention is
 aggregated and binarized into a constant mask, and the loss suppresses
 attention inside the mask while amplifying it outside, minus the squared
-distance between the two noise predictions. Gradients w.r.t. the perturbation
-are averaged over the timestep set and applied as a sign step, then projected
-to the L-inf budget and to valid image range.
+distance between the injected eps and the predicted noise. Gradients w.r.t.
+the perturbation are averaged over the timestep set and applied as a sign
+step, then projected to the L-inf budget and to valid image range.
 """
 
 from __future__ import annotations
@@ -92,35 +92,33 @@ def daa_loss(agg, mask, lambda_daa):
     return ad.sub(inside, ad.scale(outside, lambda_daa))
 
 
-def nba_loss(eps_clean, eps_imu):
-    """Negated squared L2 distance between the two noise predictions."""
-    return ad.scale(ad.l2_sq_distance(eps_clean, eps_imu), -1.0)
+def nba_loss(eps, eps_imu):
+    """Negated squared L2 distance between the injected and the predicted noise."""
+    return ad.scale(ad.l2_sq_distance(eps, eps_imu), -1.0)
 
 
-def total_loss(x0, delta, model, prompt, t, shared_eps, cfg=AttackConfig(),
+def total_loss(x0, delta, model, prompt, t, eps, cfg=AttackConfig(),
                mask_override=None):
-    """Combined attack objective at one timestep with one shared noise draw.
+    """Combined attack objective at one timestep, from one model pass.
 
-    Both diffusion branches use the same eps, so at delta = 0 they are
-    bit-identical and the noise term is exactly zero; the clean branch runs
-    only for the noise term. The mask is recomputed from the perturbed
-    branch and frozen (stop-gradient) for this step; mask_override
-    substitutes a precomputed constant mask.
+    The perturbed image is noised with eps; the noise term is the negated
+    mean squared error of the model's prediction of that eps (AdvDM's
+    denoising loss). The mask is recomputed from the same pass and frozen
+    (stop-gradient) for this step; mask_override substitutes a precomputed
+    constant mask.
 
     Returns (loss Tensor or None, components dict). Loss is None when every
     term is disabled or degenerate for this step.
     """
     x0 = np.asarray(x0, dtype=np.float32)
-    eps_t = Tensor(np.asarray(shared_eps, dtype=np.float32))
-    sched = model.schedule
+    eps_t = Tensor(np.asarray(eps, dtype=np.float32))
 
-    x_t_imu = forward_diffuse(sched, ad.add(Tensor(x0), delta), t, eps_t)
+    x_t_imu = forward_diffuse(model.schedule, ad.add(Tensor(x0), delta), t, eps_t)
     eps_imu, record = predict_noise(model, x_t_imu, t, prompt,
                                     capture_attention=cfg.daa_mode != "off")
 
     terms = []
-    comps = {"daa": 0.0, "nba": 0.0, "nba_raw": 0.0, "total": 0.0,
-             "degenerate": False}
+    comps = {"daa": 0.0, "nba": 0.0, "total": 0.0, "degenerate": False}
 
     if cfg.daa_mode != "off":
         agg = aggregate(record, prompt)
@@ -143,18 +141,9 @@ def total_loss(x0, delta, model, prompt, t, shared_eps, cfg=AttackConfig(),
             comps["daa"] = term.item()
 
     if cfg.lambda_nba != 0.0:
-        # clean branch: plain arrays, so a frozen model puts nothing on the tape
-        x_t_clean = forward_diffuse(sched, x0, t, shared_eps)
-        eps_clean, _ = predict_noise(model, x_t_clean, t, prompt)
-        raw = nba_loss(eps_clean, eps_imu)
-        comps["nba_raw"] = raw.item()
-        # the division makes this the mean squared difference of the two
-        # predictions; it does not put the terms on one scale: on the default
-        # reference model this term's gradient has 1-5% of the attention
-        # term's L1 norm
-        scale = cfg.lambda_nba / eps_imu.size
-        terms.append(ad.scale(raw, scale))
-        comps["nba"] = comps["nba_raw"] / eps_imu.size
+        raw = nba_loss(eps_t, eps_imu)
+        terms.append(ad.scale(raw, cfg.lambda_nba / eps_imu.size))
+        comps["nba"] = raw.item() / eps_imu.size
 
     comps["total"] = comps["daa"] + cfg.lambda_nba * comps["nba"]
     if not terms:
@@ -189,11 +178,6 @@ def immunize(x0, prompt, model, cfg):
     gamma = np.float32(cfg.gamma)
     alpha = np.float32(cfg.alpha_step)
     delta = np.zeros_like(x0)
-    if cfg.iterations > 0:
-        # the noise term's gradient vanishes identically at delta = 0 (both
-        # branches are bit-equal), so start one sign-step inside the ball
-        signs = rng.integers(0, 2, size=x0.shape).astype(np.float32) * 2.0 - 1.0
-        delta = _project(alpha * signs, x0, gamma)
     state = PerturbationState()
 
     all_degenerate_iters = 0

@@ -76,9 +76,12 @@ def load_model(path):
     """Bit-exact inverse of save_model."""
     header, arrays = read_container(
         path, _FORMAT, lambda h: [shape for _, shape in h["params"]])
-    config = ModelConfig(**header["config"])
-    sched = build_schedule(header["schedule"]["T"], header["schedule"]["beta_min"],
-                           header["schedule"]["beta_max"])
+    try:
+        config = ModelConfig(**header["config"])
+        sched = build_schedule(header["schedule"]["T"], header["schedule"]["beta_min"],
+                               header["schedule"]["beta_max"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ArtifactError(f"{path}: bad model header: {e!r}") from None
     params = {name: Tensor(arr, requires_grad=False)
               for (name, _), arr in zip(header["params"], arrays)}
     return DenoiserModel(config, params, schedule=sched)

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration error, 3 missing or corrupt input
+Exit codes: 0 success, 1 unexpected error (the exception propagates with its
+traceback), 2 configuration or user-input error, 3 missing or corrupt input
 artifact, 4 numeric failure (divergence or non-finite values).
 """
 
@@ -12,7 +13,9 @@ from dataclasses import replace
 
 from imukit.autodiff import NonFiniteError
 from imukit.diffusion.training import TrainingDiverged
-from imukit.harness.config import ExperimentConfig, METHODS, check_methods, config_hash
+from imukit.harness.config import (
+    ConfigError, ExperimentConfig, METHODS, check_methods, config_hash,
+)
 from imukit.harness.pipeline import (
     MissingArtifactError, cmd_ablate, cmd_edit_file, cmd_evaluate, cmd_gen_data,
     cmd_immunize, cmd_report, cmd_train, run_paths,
@@ -106,7 +109,7 @@ def main(argv=None):
     except ArtifactError as e:
         print(f"imukit: corrupt artifact: {e}", file=sys.stderr)
         return EXIT_MISSING
-    except ValueError as e:
+    except ConfigError as e:
         print(f"imukit: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except MissingArtifactError as e:

@@ -30,7 +30,7 @@ from imukit.diffusion.schedule import forward_diffuse
 from imukit.diffusion.text import encode_caption
 from imukit.diffusion.training import train
 from imukit.harness.artifacts import read_json, write_delta, write_json
-from imukit.harness.config import METHOD_CODES, ExperimentConfig, config_hash
+from imukit.harness.config import METHOD_CODES, ConfigError, ExperimentConfig, config_hash
 from imukit.harness.tables import METRIC_NAMES, aggregate_rows, write_csv, write_results
 from imukit.metrics import full_report
 from imukit.ppm import read_ppm, write_ppm
@@ -327,7 +327,6 @@ def _immunize_one(model, cfg, paths, items, method, idx):
         "trace": state.trace,
         "degenerate_mask_count": state.degenerate_count,
         "final_linf": float(np.abs(delta).max()),
-        "nba_scale": None if method == "none" else 1.0 / delta.size,
         "warnings": state.warnings,
         "wall_time_s": round(elapsed, 4),
     }
@@ -685,11 +684,18 @@ def cmd_report(cfg):
 
 def cmd_edit_file(cfg, image_path, caption, out_path, t_edit=None, edit_seed=0):
     paths = run_paths(cfg)
-    _require(paths.model_bin)
+    _require(paths.model_bin, image_path)
     model = load_model(paths.model_bin)
     x = read_ppm(image_path)
-    prompt = model.encode_prompt(encode_caption(caption))
     t = cfg.t_edit if t_edit is None else int(t_edit)
+    size, T = model.config.image_size, model.schedule.T
+    if not 0 <= t < T or x.shape != (size, size, 3):
+        raise ConfigError(f"edit needs --t-edit in [0, {T}) and a {size}x{size} image, "
+                          f"got {t} and {x.shape[1]}x{x.shape[0]} ({image_path})")
+    try:
+        prompt = model.encode_prompt(encode_caption(caption))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     rng = np.random.default_rng(np.random.SeedSequence([edit_seed, _ROLE_EDIT]))
     out = edit(model, x, prompt, t, rng)
     write_ppm(out_path, out)

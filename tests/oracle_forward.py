@@ -114,8 +114,6 @@ def oracle_total_loss(model, x0, delta, eps, token_ids, content_mask, t, mask,
     delta = np.asarray(delta, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
 
-    xt_clean = c0 * x0 + ce * eps
-    eps_clean, _ = oracle_forward(model, xt_clean, t, token_ids)
     xt_imu = c0 * (x0 + delta) + ce * eps
     eps_imu, maps = oracle_forward(model, xt_imu, t, token_ids)
 
@@ -128,6 +126,6 @@ def oracle_total_loss(model, x0, delta, eps, token_ids, content_mask, t, mask,
         else:
             total += ((pre * m) ** 2).sum()
     if lambda_nba != 0.0:
-        raw = -((eps_clean - eps_imu) ** 2).sum()
+        raw = -((eps - eps_imu) ** 2).sum()
         total += lambda_nba * raw / eps_imu.size
     return float(total)

@@ -13,10 +13,8 @@ from imukit import autodiff as ad
 from imukit.attack import AttackConfig, immunize, total_loss
 from imukit.attention_mask import KapurHistogram, aggregate, kapur_threshold, make_mask
 from imukit.autodiff import Tape, Tensor
-from imukit.diffusion import predict_noise
 from imukit.diffusion.model import AttentionRecord
 from imukit.harness.artifacts import read_json
-from imukit.harness.config import config_hash
 from imukit.harness.pipeline import (
     cmd_ablate, cmd_evaluate, cmd_gen_data, cmd_immunize, cmd_train, load_split,
     run_paths,
@@ -29,7 +27,9 @@ from oracles import (
     REFERENCE_OPS, fd_agreement, kapur_bruteforce_stacked, numeric_grad,
     psnr_direct, ssim_direct,
 )
-from test_attack import IDS, grid_image, micro_model
+from test_attack import (
+    IDS, assert_nba_is_prediction_error_at_zero_delta, grid_image, micro_model,
+)
 
 
 def passline(n, msg):
@@ -258,7 +258,7 @@ def test_trace_trend_pinned_floor(defense_run):
         down.append(trace[-1]["total"] < trace[0]["total"])
     frac = float(np.mean(down))
     print(f"\ntrace trend final<initial: {frac:.2f} of danp runs")
-    assert frac >= 0.75  # measured 0.95 on the reference run
+    assert frac >= 0.75  # measured 0.80 on the reference run
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +302,9 @@ def test_acceptance_6_nba_zero_point():
     x0 = grid_image(gen)
     for t in (1, 9, 18):
         eps = gen.standard_normal(x0.shape).astype(np.float32)
-        with Tape():
-            delta = Tensor(np.zeros_like(x0), requires_grad=True)
-            _, comps = total_loss(x0, delta, model, prompt, t, eps)
-        assert comps["nba_raw"] == 0.0
-        assert comps["nba"] == 0.0
-    passline(6, "with delta=0 and shared noise the noise term is exactly 0 "
-                "(bit-level branch identity) at three timesteps")
+        assert_nba_is_prediction_error_at_zero_delta(model, prompt, x0, eps, t)
+    passline(6, "with delta=0 the noise term is the model's own prediction error "
+                "(float64 oracle, rel 1e-6) with a nonzero gradient at three timesteps")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import shape_masks
 from imukit.attention_mask import (
-    AggregatedAttention, BinaryMask, DegenerateHistogramError, KapurHistogram,
+    AggregatedAttention, DegenerateHistogramError, KapurHistogram,
     aggregate, dump_debug, fixed_threshold_mask, histogram_of, kapur_threshold,
     make_mask,
 )

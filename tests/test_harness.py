@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import shape_masks, tiny_experiment
+from imukit.autodiff import ShapeMismatchError
+from imukit.harness import cli
 from imukit.harness.cli import build_parser, load_config, main
 from imukit.harness.config import ConfigError, ExperimentConfig, config_hash
 from imukit.harness.pipeline import (
@@ -20,7 +21,7 @@ from imukit.diffusion.io import load_model, save_model
 from imukit.diffusion.sampling import EDIT_ROWS, edit
 from imukit.diffusion.text import encode_caption
 from imukit.metrics import full_report
-from imukit.ppm import ArtifactError, read_ppm
+from imukit.ppm import ArtifactError, read_ppm, write_ppm
 
 
 @pytest.fixture(scope="module")
@@ -465,13 +466,13 @@ def test_ablate_sweep_scores_each_image_in_one_defense_pass(tiny_run, forward_ca
     forward_calls.clear()
     _evaluate_rows(model, cfg, paths, items, list(ABLATION_METHODS))
     n_components = len(forward_calls)
-    # per subset image: two forwards per attacked timestep and bin count,
+    # per subset image: one forward per attacked timestep and bin count,
     # then one defense pass under the original caption that edits the clean
     # image and every bin count's image together, EDIT_ROWS rows per
     # forward, and runs the percep features of each edit
     subset = range(min(cfg.ablate_images, len(items)))
     n_bins = len(cfg.ablate_bins)
-    attack = cfg.ablate_repeats * cfg.ablate_iterations * len(cfg.attack.timesteps) * 2
+    attack = cfg.ablate_repeats * cfg.ablate_iterations * len(cfg.attack.timesteps)
     defense = cfg.t_edit * -(-(1 + n_bins) // EDIT_ROWS) + 1 + n_bins
     assert n_ablate == n_components + len(subset) * (n_bins * attack + defense)
 
@@ -606,6 +607,46 @@ def test_cli_edit_command(tmp_path, tiny_run):
                "--caption", "sparkly circle on white background",
                "--output", str(out)])
     assert rc == 2  # unknown caption word
+    rc = main(["edit", "--config", str(cfg_path), "--image", str(src),
+               "--caption", "blue circle on white background",
+               "--output", str(out), "--t-edit", "99"])
+    assert rc == 2  # depth outside [0, T)
+    small = tmp_path / "small.ppm"
+    write_ppm(small, np.zeros((8, 8, 3), dtype=np.float32))
+    rc = main(["edit", "--config", str(cfg_path), "--image", str(small),
+               "--caption", "blue circle on white background", "--output", str(out)])
+    assert rc == 2  # not the model's image size
+    rc = main(["edit", "--config", str(cfg_path), "--image", str(tmp_path / "none.ppm"),
+               "--caption", "blue circle on white background", "--output", str(out)])
+    assert rc == 3  # missing input image
+
+
+def test_cli_corrupt_model_header_exits_3_naming_it(tiny_run, tmp_path, capsys):
+    """A model.bin whose header config the model rejects is a corrupt
+    artifact, not a config error."""
+    cfg = dataclasses.replace(tiny_run, out_dir=str(tmp_path))
+    shutil.copytree(run_paths(tiny_run).root, run_paths(cfg).root)
+    path = run_paths(cfg).model_bin
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    header["config"]["image_size"] = 18
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    cfg_path = tmp_path / "cfg.json"
+    cfg.save(cfg_path)
+    assert main(["evaluate", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "image_size" in err
+
+
+def test_cli_engine_error_is_not_a_config_error(tmp_path, monkeypatch):
+    """A ValueError from the engine propagates (exit 1 with a traceback)
+    instead of being reported as a config error."""
+    def broken(cfg):
+        raise ShapeMismatchError("matmul", (2, 3), (4, 5))
+
+    monkeypatch.setattr(cli, "cmd_gen_data", broken)
+    with pytest.raises(ShapeMismatchError):
+        main(["gen-data", "--out", str(tmp_path)])
 
 
 def test_cli_seed_override_changes_hash(tmp_path):

@@ -4,7 +4,7 @@ import resource
 import numpy as np
 import pytest
 
-from imukit.autodiff import Tape, Tensor
+from imukit.autodiff import Tape
 from imukit.diffusion import (
     DenoiserModel, ModelConfig, TrainConfig, TrainingDiverged, build_schedule,
     make_dataset, train,
