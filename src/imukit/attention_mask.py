@@ -46,12 +46,24 @@ class AggregatedAttention:
 
     map is min-max normalized to [0, 1] (all zeros when degenerate);
     pre_norm keeps the un-normalized block average for fixed-threshold
-    baselines and debugging.
+    baselines and debugging. One image's maps are (H, W) with a bool flag;
+    a batch's are (B, H, W) with a (B,) bool array of flags.
     """
 
     map: Tensor
     pre_norm: Tensor
     degenerate: bool = False
+
+    def images(self):
+        """One constant AggregatedAttention per image of a (B, H, W) batch.
+
+        The mask builders read numpy data only, so each image's maps are
+        views that no tape records.
+        """
+        return [AggregatedAttention(map=Tensor._wrap(self.map.data[i], False),
+                                    pre_norm=Tensor._wrap(self.pre_norm.data[i], False),
+                                    degenerate=bool(flag))
+                for i, flag in enumerate(self.degenerate)]
 
 
 @dataclass
@@ -68,44 +80,63 @@ class BinaryMask:
 
 
 def aggregate(record, prompt):
-    """Aggregate captured maps into one normalized (H, W) attention map.
+    """Aggregate captured maps into one normalized attention map per image.
 
     Per block: mean over the prompt's content tokens, nearest-upsample to the
     largest block resolution; then mean over blocks and min-max normalize.
-    The block average (pre_norm) is differentiable; the normalized map is a
-    constant, since only the mask reads it. A constant block average yields
-    an all-zero map with the degenerate flag set instead of dividing by zero.
+    A record of (B, H_i, W_i, S) maps takes a sequence of B prompts, one per
+    image, and gives (B, H, W) maps; a one-image record of (H_i, W_i, S) maps
+    takes one prompt and gives (H, W) maps. Each image's content-token mean
+    is its own product in a stacked matmul with a (B, S, 1) selector, and
+    every later step acts per pixel or per image, so an image's maps have
+    the bits they have alone. The block average (pre_norm) is
+    differentiable; the normalized map is a constant, since only the mask
+    reads it. A constant block average yields an all-zero map with the
+    degenerate flag set instead of dividing by zero.
     """
     if not record.per_block:
         raise ValueError("aggregate: attention record is empty")
-    token_idx = np.flatnonzero(prompt.content_mask)
-    if token_idx.size == 0:
-        raise ValueError("aggregate: prompt has no content tokens")
-
-    target = max(maps.shape[0] for maps in record.per_block)
-    sel = np.zeros((record.per_block[0].shape[-1], 1), dtype=np.float32)
-    sel[token_idx, 0] = 1.0 / token_idx.size
+    blocks, prompts = record.per_block, prompt
+    one = blocks[0].ndim == 3
+    if one:
+        blocks = [ad.reshape(maps, (1,) + maps.shape) for maps in blocks]
+        prompts = [prompt]
+    bsz, s = blocks[0].shape[0], blocks[0].shape[-1]
+    if len(prompts) != bsz:
+        raise ValueError(f"aggregate: {len(prompts)} prompts for {bsz} images")
+    sel = np.zeros((bsz, s, 1), dtype=np.float32)
+    for i, p in enumerate(prompts):
+        token_idx = np.flatnonzero(p.content_mask)
+        if token_idx.size == 0:
+            raise ValueError("aggregate: prompt has no content tokens")
+        sel[i, token_idx, 0] = 1.0 / token_idx.size
     sel_t = Tensor(sel)
 
+    target = max(maps.shape[1] for maps in blocks)
     acc = None
-    for maps in record.per_block:
-        h, w, s = maps.shape
-        flat = ad.reshape(maps, (h * w, s))
-        m = ad.reshape(ad.matmul(flat, sel_t), (h, w, 1))
-        while m.shape[0] < target:
+    for maps in blocks:
+        _, h, w, _ = maps.shape
+        flat = ad.reshape(maps, (bsz, h * w, s))
+        m = ad.reshape(ad.matmul(flat, sel_t), (bsz, h, w, 1))
+        while m.shape[1] < target:
             m = ad.upsample2x(m)
-        if m.shape[0] != target:
+        if m.shape[1] != target:
             raise ValueError(
                 f"aggregate: block resolution {h} does not upsample to {target}")
         acc = m if acc is None else ad.add(acc, m)
-    pre = ad.reshape(ad.scale(acc, 1.0 / len(record.per_block)), (target, target))
+    pre = ad.reshape(ad.scale(acc, 1.0 / len(blocks)), (bsz, target, target))
 
-    lo, hi = pre.data.min(), pre.data.max()
-    if hi <= lo:
-        zero = Tensor(np.zeros((target, target), dtype=np.float32))
-        return AggregatedAttention(map=zero, pre_norm=pre, degenerate=True)
-    norm = Tensor((pre.data - lo) / (hi - lo))
-    return AggregatedAttention(map=norm, pre_norm=pre, degenerate=False)
+    lo = pre.data.min(axis=(1, 2), keepdims=True)
+    hi = pre.data.max(axis=(1, 2), keepdims=True)
+    flat_map = hi <= lo
+    norm = (pre.data - lo) / np.where(flat_map, np.float32(1.0), hi - lo)
+    norm[np.broadcast_to(flat_map, norm.shape)] = 0.0
+    degenerate = flat_map.reshape(bsz)
+    if one:
+        return AggregatedAttention(map=Tensor(norm[0]),
+                                   pre_norm=ad.reshape(pre, (target, target)),
+                                   degenerate=bool(degenerate[0]))
+    return AggregatedAttention(map=Tensor(norm), pre_norm=pre, degenerate=degenerate)
 
 
 # Far above the gap between cumulative and slice sums (~L * 1e-16 per term)

@@ -617,26 +617,43 @@ def mean_(x, axis=None):
     return _finish("mean", out, (x,), vjp)
 
 
-def frobenius_sq(x):
-    """Sum of squared entries, as a scalar."""
+def _sum64(sq, per_image):
+    """float64 sum of sq: one scalar, or one sum per index of its first axis.
+
+    Each image's sum runs over its own contiguous entries, so it has the
+    bits of the whole-array sum of that image alone.
+    """
+    out = sq.reshape(sq.shape[0], -1).sum(axis=1) if per_image else sq.sum()
+    return out.astype(_F32)
+
+
+def _per_image(g, ndim):
+    """g, one value per image, shaped to broadcast over ndim-dim images."""
+    return g.reshape(g.shape + (1,) * (ndim - g.ndim))
+
+
+def frobenius_sq(x, per_image=False):
+    """Sum of squared entries: a scalar, or with per_image a (B,) vector of
+    the sums over each index of x's first axis."""
     xd = x.data
-    out = np.asarray((xd.astype(_F64) ** 2).sum(), dtype=_F32)
+    out = _sum64(xd.astype(_F64) ** 2, per_image)
 
     def vjp(g, needs):
-        return (g * (_F32(2.0) * xd) if needs[0] else None,)
+        return (_per_image(g, xd.ndim) * (_F32(2.0) * xd) if needs[0] else None,)
 
     return _finish("frobenius_sq", out, (x,), vjp)
 
 
-def l2_sq_distance(a, b):
-    """Squared L2 distance between two same-shape tensors, as a scalar."""
+def l2_sq_distance(a, b, per_image=False):
+    """Squared L2 distance between two same-shape tensors: a scalar, or with
+    per_image a (B,) vector of the distances over each index of the first axis."""
     if a.shape != b.shape:
         raise ShapeMismatchError("l2_sq_distance", a.shape, b.shape)
     d64 = a.data.astype(_F64) - b.data.astype(_F64)
-    out = np.asarray((d64 * d64).sum(), dtype=_F32)
+    out = _sum64(d64 * d64, per_image)
 
     def vjp(g, needs):
-        gd = (_F64(2.0) * d64 * _F64(g)).astype(_F32)
+        gd = (_F64(2.0) * d64 * _per_image(g.astype(_F64), d64.ndim)).astype(_F32)
         return (gd if needs[0] else None, -gd if needs[1] else None)
 
     return _finish("l2_sq_distance", out, (a, b), vjp)

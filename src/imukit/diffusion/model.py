@@ -47,9 +47,10 @@ class PromptEmbedding:
 class AttentionRecord:
     """Post-softmax cross-attention maps captured during one forward pass.
 
-    per_block[i] is a (H_i, W_i, S) tensor: for each query pixel, the softmax
-    weight assigned to every caption token (padding included, so each pixel's
-    token-sum is exactly 1).
+    per_block[i] is a (B, H_i, W_i, S) tensor over the pass's B images (one
+    image's maps are (H_i, W_i, S), as predict_noise returns them): for each
+    query pixel, the softmax weight assigned to every caption token (padding
+    included, so each pixel's token-sum is exactly 1).
     """
 
     per_block: list = field(default_factory=list)
@@ -181,10 +182,7 @@ class DenoiserModel:
                                   self.params[prefix + "_k"],
                                   1.0 / np.sqrt(self.config.d_k))   # (B, HW, S)
         if record is not None:
-            bsz, h, w, _ = x4.shape
-            if bsz != 1:
-                raise ValueError("attention capture requires a single-image batch")
-            record.per_block.append(ad.reshape(attn, (h, w, attn.shape[-1])))
+            record.per_block.append(ad.reshape(attn, x4.shape[:3] + attn.shape[-1:]))
         return ad.attend(x4, attn, pm, self.params[prefix + "_v"])
 
     def _level(self, x4, t, prefix):
@@ -197,8 +195,8 @@ class DenoiserModel:
         """Encoder levels and both cross-attention blocks: (h0, h1, h2).
 
         xb is a (B, H, W, C) batch at one shared timestep and pm the
-        (B, S, d_text) prompt embedding batch. With a record (B must be 1)
-        the post-softmax maps of both cross-attention blocks are appended.
+        (B, S, d_text) prompt embedding batch. With a record the
+        post-softmax maps of both cross-attention blocks are appended.
         """
         size = self.config.image_size
         if xb.ndim != 4 or xb.shape[1:] != (size, size, self.config.in_channels):
@@ -226,8 +224,8 @@ class DenoiserModel:
         """Predict noise for a (B, H, W, C) batch at one shared timestep.
 
         pm is the (B, S, d_text) prompt embedding batch. With
-        capture_attention (B must be 1) the post-softmax maps of both
-        cross-attention blocks are recorded.
+        capture_attention the post-softmax maps of both cross-attention
+        blocks are recorded, as (B, H_i, W_i, S) tensors.
         """
         record = AttentionRecord() if capture_attention else None
         h0, h1, h2 = self.encode(xb, t, pm, record)
@@ -257,6 +255,8 @@ def predict_noise(model, x_t, t, prompt, capture_attention=False):
     pm = ad.reshape(prompt.matrix, (1,) + tuple(prompt.matrix.shape))
     eps, record = model.forward_batch(xb, t, pm, capture_attention=capture_attention)
     eps = ad.reshape(eps, tuple(xt.shape))
+    if record is not None:
+        record.per_block = [ad.reshape(m, m.shape[1:]) for m in record.per_block]
     return eps, record
 
 

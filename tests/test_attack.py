@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import imukit.attack as attack
 from imukit.attack import (
-    AttackConfig, daa_loss, default_timesteps, immunize, nba_loss,
+    AttackConfig, daa_loss, default_timesteps, immunize, immunize_batch, nba_loss,
     random_noise_delta, resolve_timesteps, snap_to_8bit, total_loss,
 )
 from imukit.attention_mask import AggregatedAttention, BinaryMask
@@ -196,8 +199,9 @@ def test_total_loss_daa_only_when_lambda_nba_zero(rng):
 
 
 def test_total_loss_tape_node_count_on_default_model(rng):
-    """One attack step on the default model records 34 nodes, 16 of them in
-    the model's forward; no reshape records one."""
+    """One attack step on the default model records 35 nodes, 16 of them in
+    the model's forward and one the sum over the images' losses; no reshape
+    records one."""
     model = DenoiserModel.init(ModelConfig(), seed=0, schedule=build_schedule(50))
     model.set_trainable(False)
     prompt = model.encode_prompt(IDS)
@@ -207,7 +211,7 @@ def test_total_loss_tape_node_count_on_default_model(rng):
         delta = Tensor(np.full(x0.shape, 0.01, dtype=np.float32), requires_grad=True)
         loss, comps = total_loss(x0, delta, model, prompt, 25, eps)
     assert not comps["degenerate"]
-    assert len(tape.nodes) == 34
+    assert len(tape.nodes) == 35
     assert tape.backward(loss)[delta].shape == x0.shape
 
 
@@ -345,8 +349,22 @@ def test_degenerate_attention_falls_back_to_noise_term(rng):
     x_imu, state = immunize(x0, prompt, model, cfg)
     assert state.degenerate_count == 4 * len(resolve_timesteps(cfg, model.schedule))
     assert state.warnings and "degenerate" in state.warnings[0]
+    assert "attack relied on the noise term" in state.warnings[0]
     assert all(e["daa"] == 0.0 for e in state.trace)
     assert not np.array_equal(x_imu, x0)  # the noise term still attacks
+
+
+def test_degenerate_attention_without_noise_term_leaves_image_unchanged(rng):
+    """With the noise term off, degenerate masks at every timestep leave no
+    term at all: the image comes back as it was, and the warning says so."""
+    model = micro_model(zero_attention=True)
+    x0 = grid_image(rng)
+    cfg = AttackConfig(iterations=4, seed=3, lambda_nba=0.0)
+    x_imu, state = immunize(x0, model.encode_prompt(IDS), model, cfg)
+    assert state.degenerate_count == 4 * len(resolve_timesteps(cfg, model.schedule))
+    assert len(state.warnings) == 1
+    assert "left the image unchanged" in state.warnings[0]
+    assert np.array_equal(x_imu, x0)
 
 
 def test_masks_recomputed_per_timestep(rng, mask_calls):
@@ -374,3 +392,120 @@ def test_random_noise_baseline(rng):
     snapped = np.abs(delta[inner]) * 255.0
     assert np.allclose(snapped, np.rint(snapped), atol=1e-4)
     assert np.abs(delta[inner]).min() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# lockstep immunization
+# ---------------------------------------------------------------------------
+
+METHOD_CONFIGS = {
+    "danp": {},
+    "wo-daa": {"daa_mode": "off"},
+    "wo-nba": {"lambda_nba": 0.0},
+    "sa-style": {"daa_mode": "suppress-fixed", "lambda_nba": 0.0},
+}
+
+
+def lockstep_inputs(model, n, method="danp", iterations=3):
+    """n distinct images, each with its own caption and its own seed."""
+    gen = np.random.default_rng(77)
+    xs = [grid_image(gen) for _ in range(n)]
+    prompts = [model.encode_prompt(tuple(int(v) for v in gen.integers(1, 22, size=5))
+                                   + (0, 0, 0)) for _ in range(n)]
+    cfgs = [AttackConfig(iterations=iterations, seed=40 + i, **METHOD_CONFIGS[method])
+            for i in range(n)]
+    return xs, prompts, cfgs
+
+
+def assert_same_result(got, want):
+    (x_got, s_got), (x_want, s_want) = got, want
+    assert x_got.tobytes() == x_want.tobytes()
+    assert s_got.trace == s_want.trace
+    assert s_got.degenerate_count == s_want.degenerate_count
+    assert s_got.warnings == s_want.warnings
+
+
+@pytest.mark.parametrize("method", list(METHOD_CONFIGS))
+def test_lockstep_matches_one_image_immunize(method):
+    model = micro_model()
+    xs, prompts, cfgs = lockstep_inputs(model, 3, method)
+    batch = immunize_batch(xs, prompts, model, cfgs)
+    assert len(batch) == 3
+    for got, x0, prompt, cfg in zip(batch, xs, prompts, cfgs):
+        assert_same_result(got, immunize(x0, prompt, model, cfg))
+    assert not np.array_equal(batch[0][0], xs[0])
+
+
+def test_lockstep_result_does_not_depend_on_chunk_composition():
+    model = micro_model()
+    xs, prompts, cfgs = lockstep_inputs(model, 4)
+    first = immunize_batch(xs[:2], prompts[:2], model, cfgs[:2])
+    order = [3, 2, 0]
+    second = immunize_batch([xs[i] for i in order], [prompts[i] for i in order], model,
+                            [cfgs[i] for i in order])
+    assert_same_result(second[2], first[0])
+
+
+def degenerate_masks_at(monkeypatch, position, images):
+    """Patch attack.make_mask: of each run of `images` consecutive calls (one
+    per image of a lockstep step, in image order), the call at `position`
+    returns an all-zero degenerate mask."""
+    original = attack.make_mask
+    calls = itertools.count()
+
+    def patched(agg, bins, timestep=-1):
+        mask = original(agg, bins, timestep=timestep)
+        if next(calls) % images != position:
+            return mask
+        return BinaryMask(mask=np.zeros_like(mask.mask), threshold_used=1.0,
+                          timestep=timestep, degenerate=True)
+
+    monkeypatch.setattr(attack, "make_mask", patched)
+
+
+@pytest.mark.parametrize("method", ["danp", "wo-nba"])
+def test_lockstep_with_one_degenerate_image(monkeypatch, method):
+    """The degenerate image's zeroed mask and complement give its attention
+    term and gradient exactly 0, as skipping the term does in a one-image
+    run; the other images are untouched by it."""
+    model = micro_model()
+    xs, prompts, cfgs = lockstep_inputs(model, 3, method)
+    with monkeypatch.context() as patch:
+        degenerate_masks_at(patch, 1, 3)
+        batch = immunize_batch(xs, prompts, model, cfgs)
+    with monkeypatch.context() as patch:
+        degenerate_masks_at(patch, 0, 1)
+        alone = immunize(xs[1], prompts[1], model, cfgs[1])
+    steps = cfgs[1].iterations * len(resolve_timesteps(cfgs[1], model.schedule))
+    assert alone[1].degenerate_count == steps
+    assert all(e["daa"] == 0.0 for e in alone[1].trace)
+    assert np.array_equal(alone[0], xs[1]) == (method == "wo-nba")
+    assert_same_result(batch[1], alone)
+    for i in (0, 2):
+        assert batch[i][1].degenerate_count == 0
+        assert_same_result(batch[i], immunize(xs[i], prompts[i], model, cfgs[i]))
+
+
+def test_lockstep_configs_may_differ_only_in_seed():
+    model = micro_model()
+    xs, prompts, cfgs = lockstep_inputs(model, 2)
+    with pytest.raises(ValueError, match="seed"):
+        immunize_batch(xs, prompts, model,
+                       [cfgs[0], AttackConfig(iterations=3, bins=64)])
+
+
+def test_lockstep_step_runs_one_pass_and_one_backward(forward_calls, monkeypatch):
+    model = micro_model()
+    xs, prompts, cfgs = lockstep_inputs(model, 3, iterations=2)
+    backwards = []
+    original = Tape.backward
+
+    def counting(self, root):
+        backwards.append(root.shape)
+        return original(self, root)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    immunize_batch(xs, prompts, model, cfgs)
+    steps = 2 * len(resolve_timesteps(cfgs[0], model.schedule))
+    assert forward_calls == [3] * steps
+    assert backwards == [()] * steps

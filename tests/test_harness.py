@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from conftest import shape_masks, tiny_experiment
+from imukit.attack import immunize, immunize_batch
 from imukit.autodiff import ShapeMismatchError
 from imukit.harness import cli
 from imukit.harness.cli import build_parser, load_config, main
-from imukit.harness.config import ConfigError, ExperimentConfig, config_hash
+from imukit.harness.config import (
+    METHOD_CODES, ConfigError, ExperimentConfig, config_hash,
+)
 from imukit.harness.pipeline import (
-    ABLATION_METHODS, MissingArtifactError, _edit_rng, _evaluate_rows, _prompts_for,
-    _write_heatmaps, cmd_ablate, cmd_evaluate, cmd_gen_data, cmd_immunize, cmd_report,
-    cmd_train, load_split, method_attack_config, run_paths,
+    _ROLE_ATTACK, ABLATION_METHODS, ATTACK_ROWS, MissingArtifactError, _derive_seed,
+    _edit_rng, _evaluate_rows, _prompts_for, _write_heatmaps, cmd_ablate, cmd_evaluate,
+    cmd_gen_data, cmd_immunize, cmd_report, cmd_train, load_split, method_attack_config,
+    run_paths,
 )
 from imukit.harness.artifacts import read_delta, read_json, write_delta
 from imukit.harness.tables import METRIC_NAMES, read_csv
@@ -466,15 +470,17 @@ def test_ablate_sweep_scores_each_image_in_one_defense_pass(tiny_run, forward_ca
     forward_calls.clear()
     _evaluate_rows(model, cfg, paths, items, list(ABLATION_METHODS))
     n_components = len(forward_calls)
-    # per subset image: one forward per attacked timestep and bin count,
-    # then one defense pass under the original caption that edits the clean
-    # image and every bin count's image together, EDIT_ROWS rows per
-    # forward, and runs the percep features of each edit
+    # per bin count: one forward per attacked timestep for each lockstep
+    # chunk of the subset (ATTACK_ROWS images per chunk); per subset image:
+    # one defense pass under the original caption that edits the clean image
+    # and every bin count's image together, EDIT_ROWS rows per forward, and
+    # runs the percep features of each edit
     subset = range(min(cfg.ablate_images, len(items)))
     n_bins = len(cfg.ablate_bins)
     attack = cfg.ablate_repeats * cfg.ablate_iterations * len(cfg.attack.timesteps)
+    chunks = -(-len(subset) // ATTACK_ROWS)
     defense = cfg.t_edit * -(-(1 + n_bins) // EDIT_ROWS) + 1 + n_bins
-    assert n_ablate == n_components + len(subset) * (n_bins * attack + defense)
+    assert n_ablate == n_components + chunks * n_bins * attack + len(subset) * defense
 
     bins = read_json(paths.bins_json)
     before = read_json(run_paths(tiny_run).bins_json)
@@ -682,23 +688,65 @@ def test_cli_overrides_seed_out_and_jobs(tmp_path):
     assert cfg.jobs == 2
 
 
+def timeless_report(paths, method, idx):
+    report = read_json(paths.attack_report(method, idx))
+    del report["wall_time_s"]
+    return report
+
+
 def test_jobs_parallel_immunize_matches_serial(tmp_path):
-    serial = tiny_experiment(tmp_path / "s", n_test=2,
-                             methods=["random-noise", "danp"])
+    """Serial immunize attacks each method's 3 images as one lockstep chunk;
+    --jobs 2 splits them into chunks of 2 and 1 on two workers. Every
+    artifact but the wall time is the same."""
+    methods = ["random-noise", "danp", "wo-daa", "wo-nba", "sa-style"]
+    serial = tiny_experiment(tmp_path / "s", methods=methods)
     cmd_gen_data(serial)
     cmd_train(serial)
     cmd_immunize(serial)
-    parallel = tiny_experiment(tmp_path / "p", n_test=2,
-                               methods=["random-noise", "danp"])
+    parallel = tiny_experiment(tmp_path / "p", methods=methods)
     parallel.jobs = 2
     cmd_gen_data(parallel)
     cmd_train(parallel)
     cmd_immunize(parallel)
     ps, pp = run_paths(serial), run_paths(parallel)
     for method in serial.methods:
-        for idx in range(2):
-            assert (ps.delta_file(method, idx).read_bytes()
-                    == pp.delta_file(method, idx).read_bytes())
+        for idx in range(3):
+            for path in (ps.delta_file, ps.immunized_image):
+                rel = path(method, idx).relative_to(ps.root)
+                assert (ps.root / rel).read_bytes() == (pp.root / rel).read_bytes()
+            assert timeless_report(ps, method, idx) == timeless_report(pp, method, idx)
+
+
+def test_immunize_chunks_split_at_the_row_cap(tiny_run, tmp_path, monkeypatch):
+    """With the lockstep cap at 2, each method's 3 images run as chunks of
+    2 and 1; every image's artifacts equal the tiny run's (one chunk of 3)
+    and its one-image immunize."""
+    cfg = dataclasses.replace(tiny_run, out_dir=str(tmp_path))
+    shutil.copytree(run_paths(tiny_run).root, run_paths(cfg).root)
+    paths, ref = run_paths(cfg), run_paths(tiny_run)
+    shutil.rmtree(paths.root / "immunize")
+    chunks = []
+
+    def recording(x0s, prompts, model, cfgs):
+        chunks.append(len(x0s))
+        return immunize_batch(x0s, prompts, model, cfgs)
+
+    monkeypatch.setattr("imukit.harness.pipeline.ATTACK_ROWS", 2)
+    monkeypatch.setattr("imukit.harness.pipeline.immunize_batch", recording)
+    cmd_immunize(cfg, methods=["danp"])
+    assert chunks == [2, 1]
+    model = load_model(paths.model_bin)
+    for idx, item in enumerate(load_split(paths, "test")):
+        assert (paths.delta_file("danp", idx).read_bytes()
+                == ref.delta_file("danp", idx).read_bytes())
+        assert timeless_report(paths, "danp", idx) == timeless_report(ref, "danp", idx)
+        acfg = method_attack_config(cfg, "danp", _derive_seed(
+            cfg.seed, _ROLE_ATTACK, METHOD_CODES["danp"], idx))
+        prompt = model.encode_prompt(item.tokens)
+        x_imu, state = immunize(item.image, prompt, model, acfg)
+        delta, _ = read_delta(paths.delta_file("danp", idx))
+        assert delta.tobytes() == (x_imu - item.image).astype(np.float32).tobytes()
+        assert timeless_report(paths, "danp", idx)["trace"] == state.trace
 
 
 def test_jobs_parallel_evaluate_matches_serial(tmp_path):

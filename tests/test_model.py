@@ -164,8 +164,7 @@ def _unfused_cross_attention(model, x4, pm, prefix, maps):
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))),
                       1.0 / np.sqrt(model.config.d_k))
     attn = ad.softmax(scores, axis=-1)
-    if maps is not None:
-        maps.append(ad.reshape(attn, (h, w, s)))
+    maps.append(ad.reshape(attn, (bsz, h, w, s)))
     out = ad.reshape(ad.matmul(attn, v), (bsz, h, w, c))
     return ad.add(x4, out)
 
@@ -200,7 +199,8 @@ def test_forward_and_gradients_bitwise_match_unfused_chain(bsz, trainable):
 
     Frozen, only the input needs a gradient (the attack); trainable, every
     parameter does, and the prompt embedding collects gradients from four
-    projections in the unfused chain's order (training).
+    projections in the unfused chain's order (training). Both capture the
+    (B, H, W, S) attention maps at every batch size.
     """
     gen = np.random.default_rng(90)
     model = DenoiserModel.init(ModelConfig(), seed=5, schedule=build_schedule(50))
@@ -216,22 +216,22 @@ def test_forward_and_gradients_bitwise_match_unfused_chain(bsz, trainable):
         with Tape() as tape:
             pm = model._embed_ids(ids)
             if fused:
-                eps, rec = model.forward_batch(x, 17, pm, capture_attention=bsz == 1)
-                maps = rec.per_block if rec else []
+                eps, rec = model.forward_batch(x, 17, pm, capture_attention=True)
+                maps = rec.per_block
             else:
-                maps = [] if bsz == 1 else None
+                maps = []
                 eps = _unfused_forward(model, x, 17, pm, maps)
             terms = [ad.sum_(ad.mul(o, Tensor(w)))
-                     for o, w in zip([eps] + (maps or []), weights)]
+                     for o, w in zip([eps] + maps, weights)]
             loss = terms[0]
             for term in terms[1:]:
                 loss = ad.add(loss, term)
         grads = tape.backward(loss)
         leaves = [model.params[n] for n in model.param_names()] if trainable else [x]
-        results.append(([eps.data] + [m.data for m in maps or []],
+        results.append(([eps.data] + [m.data for m in maps],
                         [grads[leaf] for leaf in leaves]))
     (fused_vals, fused_grads), (chain_vals, chain_grads) = results
-    assert len(fused_vals) == (3 if bsz == 1 else 1)
+    assert len(fused_vals) == 3
     for a, b in zip(fused_vals + fused_grads, chain_vals + chain_grads):
         assert a.dtype == b.dtype == np.float32
         assert np.array_equal(a, b)

@@ -4,35 +4,39 @@ A refactor that keeps the semantics must leave every artifact of a run
 byte-identical except the wall-clock fields. This script builds the tree
 that check compares and lists the files that still differ.
 
-    PYTHONPATH=src python tools/run_tree_diff.py build OUT_DIR
+    PYTHONPATH=src python tools/run_tree_diff.py build OUT_DIR [--jobs N]
     python tools/run_tree_diff.py compare OUT_DIR_A OUT_DIR_B
 
 ``build`` runs gen-data, train, immunize, evaluate, ablate and report on the
 tiny test config (``tests/conftest.py::tiny_experiment``) at seed 5 with the
 methods none, random-noise, sa-style and danp and ``edit_prompts=both``;
-ablate also immunizes wo-daa and wo-nba. It runs whichever ``imukit`` is on
-the import path, so ``PYTHONPATH=<other checkout>/src`` builds the tree of
-another commit. It prints the config hash.
+ablate also immunizes wo-daa and wo-nba. ``--jobs N`` runs the stages on N
+worker processes; ``jobs`` is not hashed, so the tree must compare equal to
+the serial one. It runs whichever ``imukit`` is on the import path, so
+``PYTHONPATH=<other checkout>/src`` builds the tree of another commit. It
+prints the config hash.
 
 ``compare`` walks both directories and prints each file that is missing on
-one side or differs once the timing and location fields are dropped: the
-``wall_time_s``, ``time_per_iter_s`` and ``out_dir`` keys of JSON files, the
-``time_per_iter_s`` column of CSV files and the time/iter column of the
-summary's bin-sweep table. It exits 1 when any file differs.
+one side or differs once the timing, location and worker-count fields are
+dropped: the ``wall_time_s``, ``time_per_iter_s``, ``out_dir`` and ``jobs``
+keys of JSON files, the ``time_per_iter_s`` column of CSV files and the
+time/iter column of the summary's bin-sweep table. It exits 1 when any file
+differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import sys
 from pathlib import Path
 
-DROPPED = ("wall_time_s", "time_per_iter_s", "out_dir")
+DROPPED = ("wall_time_s", "time_per_iter_s", "out_dir", "jobs")
 
 
-def build(out_dir):
+def build(out_dir, jobs=1):
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
     from conftest import tiny_experiment
     from imukit.harness import pipeline
@@ -40,6 +44,7 @@ def build(out_dir):
 
     cfg = tiny_experiment(out_dir, seed=5, edit_prompts="both",
                           methods=["none", "random-noise", "sa-style", "danp"])
+    cfg.jobs = jobs
     for stage in (pipeline.cmd_gen_data, pipeline.cmd_train, pipeline.cmd_immunize,
                   pipeline.cmd_evaluate, pipeline.cmd_ablate, pipeline.cmd_report):
         stage(cfg)
@@ -66,7 +71,8 @@ def _drop_bin_sweep_times(text):
 
 
 def canonical(path):
-    """The file's content with the timing and location fields left out."""
+    """The file's content with the timing, location and worker-count fields
+    left out."""
     raw = path.read_bytes()
     if path.suffix == ".json":
         return json.dumps(_drop_keys(json.loads(raw)), sort_keys=True)
@@ -100,13 +106,19 @@ def compare(a, b):
 
 
 def main(argv):
-    if len(argv) == 2 and argv[0] == "build":
-        build(argv[1])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_build = sub.add_parser("build", help="build the tiny-config run tree")
+    p_build.add_argument("out_dir")
+    p_build.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_compare = sub.add_parser("compare", help="compare two run trees")
+    p_compare.add_argument("a")
+    p_compare.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "build":
+        build(args.out_dir, args.jobs)
         return 0
-    if len(argv) == 3 and argv[0] == "compare":
-        return compare(argv[1], argv[2])
-    print(__doc__, file=sys.stderr)
-    return 2
+    return compare(args.a, args.b)
 
 
 if __name__ == "__main__":
