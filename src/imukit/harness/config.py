@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 from imukit.attack import AttackConfig, resolve_timesteps
@@ -108,6 +109,7 @@ class ExperimentConfig:
             resolve_timesteps(self.attack, schedule)
         except ValueError as e:
             raise ConfigError(str(e)) from e
+        self.out_dir = os.fspath(self.out_dir)
         self.methods = tuple(self.methods)
         self.ablate_bins = tuple(self.ablate_bins)
 

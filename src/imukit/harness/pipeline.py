@@ -40,10 +40,10 @@ from imukit.ppm import read_ppm, write_ppm
 # name for it (perfbench/workloads.py, layer_targets).
 __all__ = ["immunize"]
 
-# Images per lockstep attack chunk. On the default model a chunk's peak RSS
-# exceeds the one-image attack's by about 1.3 MiB at 2 images, 2.6 at 3,
-# 4.3 at 4 and 7.0 at 6: at 3 the immunize stage's peak (about 61 MiB)
-# grows by under 5%, at 4 it does not.
+# Images per lockstep attack chunk. On the default model the immunize stage
+# over 6 images peaks at about 41.5 MiB with one-image chunks; chunks of 2, 3,
+# 4 and 6 images add about 1.3, 2.6, 4.3 and 7.0 MiB. At 3 that is 6% of the
+# peak, at 4 it is 10%.
 ATTACK_ROWS = 3
 
 # seed-sequence role tags: [seed, role, ...]

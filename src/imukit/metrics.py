@@ -10,7 +10,6 @@ perceptual distance are symmetric; VIFp is reference-first by construction.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from imukit.diffusion.model import bottleneck_features
 from imukit.diffusion.text import MAX_TOKENS, PAD_ID
@@ -80,6 +79,36 @@ def ssim(a, b):
     return float(np.mean(num / den))
 
 
+def _gaussian_smooth(x, sd):
+    """Gaussian smoothing over the last two axes; leading axes are separate images.
+
+    Equal, bit for bit, to SciPy's ndimage.gaussian_filter(x, sd) with its
+    defaults. The kernel is exp(-0.5 / sd**2 * k**2) for |k| <= int(4 * sd + 0.5),
+    normalized. The boundary is "reflect" (d c b a | a b c d | d c b a), repeated
+    when the radius exceeds the image. Axis -2 is filtered before axis -1, each
+    with the same symmetric sum: centre * w0, then += (left_k + right_k) * w_k
+    for k from the radius down to 1. The result is C-contiguous, because vifp's
+    sums reduce in an order that depends on layout.
+    """
+    radius = int(4.0 * sd + 0.5)
+    w = np.exp(-0.5 / (sd * sd) * np.arange(-radius, radius + 1) ** 2)
+    w = w / w.sum()
+    for axis in (x.ndim - 2, x.ndim - 1):
+        n = x.shape[axis]
+        mirror = np.mod(np.arange(-radius, n + radius), 2 * n)
+        padded = np.take(x, np.minimum(mirror, 2 * n - 1 - mirror), axis=axis)
+        window = [slice(None)] * x.ndim
+
+        def tap(k):
+            window[axis] = slice(radius + k, radius + k + n)
+            return padded[tuple(window)]
+
+        x = tap(0) * w[radius]
+        for k in range(radius, 0, -1):
+            x += (tap(-k) + tap(k)) * w[radius - k]
+    return x
+
+
 def vifp(ref, dist):
     """Pixel-domain visual information fidelity over 4 dyadic scales.
 
@@ -98,14 +127,13 @@ def vifp(ref, dist):
         n = 2 ** (4 - scl + 1) + 1
         sd = n / 5.0
         if scl > 1:
-            r = gaussian_filter(r, sd)[::2, ::2]
-            d = gaussian_filter(d, sd)[::2, ::2]
-        mu1 = gaussian_filter(r, sd)
-        mu2 = gaussian_filter(d, sd)
+            r, d = _gaussian_smooth(np.stack([r, d]), sd)[:, ::2, ::2]
+        mu1, mu2, r_sq, d_sq, rd = _gaussian_smooth(
+            np.stack([r, d, r * r, d * d, r * d]), sd)
         mu1_sq, mu2_sq, mu1_mu2 = mu1 * mu1, mu2 * mu2, mu1 * mu2
-        s1_sq = gaussian_filter(r * r, sd) - mu1_sq
-        s2_sq = gaussian_filter(d * d, sd) - mu2_sq
-        s12 = gaussian_filter(r * d, sd) - mu1_mu2
+        s1_sq = r_sq - mu1_sq
+        s2_sq = d_sq - mu2_sq
+        s12 = rd - mu1_mu2
         s1_sq[s1_sq < 0] = 0
         s2_sq[s2_sq < 0] = 0
         g = s12 / (s1_sq + eps)

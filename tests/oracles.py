@@ -9,6 +9,7 @@ forward rounding. Production analytic gradients are compared against these.
 import math
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 
 # ---------------------------------------------------------------------------
 # float64 reference ops (definition transcriptions, no package imports)
@@ -185,3 +186,68 @@ def ssim_direct(a, b):
             vals.append(((2 * mx * my + c1) * (2 * vxy + c2))
                         / ((mx * mx + my * my + c1) * (vx + vy + c2)))
     return float(np.mean(vals))
+
+
+# ---------------------------------------------------------------------------
+# VIFp through scipy.ndimage, the reference for imukit's numpy Gaussian filter
+# ---------------------------------------------------------------------------
+
+
+def _vifp_check_pair(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"vifp: shape mismatch {a.shape} vs {b.shape}")
+    return a, b
+
+
+def _vifp_gray(img):
+    img = np.asarray(img, dtype=np.float64)
+    return img.mean(axis=2) if img.ndim == 3 else img
+
+
+def vifp_scipy(ref, dist):
+    """imukit.metrics.vifp as it was with scipy's gaussian_filter, verbatim.
+
+    Pixel-domain visual information fidelity over 4 dyadic scales.
+
+    Grayscale inputs are rescaled to 0-255 and smoothed per scale with the
+    classic kernel sizes; scalar noise variance is 2. A constant reference
+    carries no information, so that degenerate case is defined as 1.0.
+    """
+    ref, dist = _vifp_check_pair(ref, dist)
+    r = _vifp_gray(ref) * 255.0
+    d = _vifp_gray(dist) * 255.0
+    sigma_nsq = 2.0
+    eps = 1e-10
+    num = 0.0
+    den = 0.0
+    for scl in range(1, 5):
+        n = 2 ** (4 - scl + 1) + 1
+        sd = n / 5.0
+        if scl > 1:
+            r = gaussian_filter(r, sd)[::2, ::2]
+            d = gaussian_filter(d, sd)[::2, ::2]
+        mu1 = gaussian_filter(r, sd)
+        mu2 = gaussian_filter(d, sd)
+        mu1_sq, mu2_sq, mu1_mu2 = mu1 * mu1, mu2 * mu2, mu1 * mu2
+        s1_sq = gaussian_filter(r * r, sd) - mu1_sq
+        s2_sq = gaussian_filter(d * d, sd) - mu2_sq
+        s12 = gaussian_filter(r * d, sd) - mu1_mu2
+        s1_sq[s1_sq < 0] = 0
+        s2_sq[s2_sq < 0] = 0
+        g = s12 / (s1_sq + eps)
+        sv_sq = s2_sq - g * s12
+        g[s1_sq < eps] = 0
+        sv_sq[s1_sq < eps] = s2_sq[s1_sq < eps]
+        s1_sq[s1_sq < eps] = 0
+        g[s2_sq < eps] = 0
+        sv_sq[s2_sq < eps] = 0
+        sv_sq[g < 0] = s2_sq[g < 0]
+        g[g < 0] = 0
+        sv_sq[sv_sq <= eps] = eps
+        num += np.sum(np.log10(1.0 + g * g * s1_sq / (sv_sq + sigma_nsq)))
+        den += np.sum(np.log10(1.0 + s1_sq / sigma_nsq))
+    if den <= 0.0 or not np.isfinite(num / den):
+        return 1.0
+    return float(num / den)

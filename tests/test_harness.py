@@ -85,6 +85,17 @@ def test_config_unknown_key_is_rejected(tmp_path, section, key):
         ExperimentConfig.from_dict(d)
 
 
+def test_config_out_dir_path_writes_the_same_config_as_its_str(tmp_path):
+    out = tmp_path / "runs"
+    as_str = tiny_experiment(out)
+    as_path = dataclasses.replace(as_str, out_dir=out)
+    assert config_hash(as_path) == config_hash(as_str)
+    cmd_gen_data(as_path)
+    as_str.save(tmp_path / "str.json")
+    assert run_paths(as_path).config_json.read_bytes() == \
+        (tmp_path / "str.json").read_bytes()
+
+
 def test_config_json_lists_load_as_tuples(tmp_path):
     cfg = tiny_experiment(tmp_path)
     p = tmp_path / "cfg.json"

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
+import imukit
 from imukit.metrics import (
-    DEFENSE_DIRECTIONS, full_report, percep_dist, psnr, ssim, vifp,
+    DEFENSE_DIRECTIONS, _gaussian_smooth, full_report, percep_dist, psnr, ssim, vifp,
 )
-from oracles import psnr_direct, ssim_direct
+from oracles import psnr_direct, ssim_direct, vifp_scipy
 
 
 @pytest.fixture()
@@ -78,7 +85,6 @@ def test_vifp_self_is_one(rng):
 
 
 def test_vifp_decreases_with_blur(rng):
-    from scipy.ndimage import gaussian_filter
     x = rng.random((32, 32, 3))
     light = gaussian_filter(x, (0.6, 0.6, 0))
     heavy = gaussian_filter(x, (2.5, 2.5, 0))
@@ -94,6 +100,44 @@ def test_vifp_noise_loses_information(rng):
 def test_vifp_constant_reference_flagged():
     x = np.full((32, 32, 3), 0.5)
     assert vifp(x, x) == 1.0
+
+
+# vifp's four scales smooth with these sigmas; 1.5 is SSIM's
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 12, 16, 32])
+def test_gaussian_smooth_is_scipy_gaussian_filter_bit_for_bit(rng, size):
+    """Exact equality, also where the radius (up to 14) exceeds the image."""
+    for sd in (3.4, 1.8, 1.0, 0.6, 1.5):
+        x = rng.random((size, size)) * 255.0
+        got = _gaussian_smooth(x, sd)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, gaussian_filter(x, sd))
+        stack = rng.random((5, size, size)) * 255.0
+        got = _gaussian_smooth(stack, sd)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, np.stack([gaussian_filter(m, sd) for m in stack]))
+
+
+@pytest.mark.parametrize("size", [12, 16, 32])
+def test_vifp_equals_the_scipy_implementation(rng, size):
+    for _ in range(10):
+        a = rng.random((size, size, 3))
+        b = np.clip(a + rng.normal(0, rng.random() * 0.2, a.shape), 0, 1)
+        assert vifp(a, b) == vifp_scipy(a, b)
+        assert vifp(b, a) == vifp_scipy(b, a)
+    const = np.full((size, size, 3), 0.5)
+    assert vifp(const, a) == vifp_scipy(const, a) == 1.0
+
+
+def test_imukit_imports_without_scipy():
+    """scipy is a test dependency only: a fresh CLI process never loads it."""
+    src = str(Path(imukit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, imukit.harness.cli, imukit.metrics; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # -- percep_dist ------------------------------------------------------------
