@@ -30,6 +30,7 @@ model. The policy changes no value. Where the C library has no mallopt
 from __future__ import annotations
 
 import ctypes
+import math
 import threading
 
 import numpy as np
@@ -280,10 +281,23 @@ def _suffix_shapes(op, a, b):
 
 
 def _unbroadcast(g, shape):
+    """g summed over its leading axes down to shape, in float32.
+
+    Always the bits of g.sum over those axes with dtype float32. On a
+    C-contiguous g whose trailing shape holds n >= 2 entries, einsum over
+    the (rows, n) view adds the rows in the same sequential order, without
+    the per-row inner loop numpy's sum runs over a short trailing axis
+    (about 5x faster at 65536 x 16). At n = 1 einsum keeps unrolled partial
+    sums, and on other layouts sum visits the rows in memory order, so those
+    keep sum.
+    """
     extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)), dtype=_F32)
-    return g
+    if not extra:
+        return g
+    n = math.prod(shape)
+    if n > 1 and g.flags.c_contiguous:
+        return np.einsum("ij->j", g.reshape(-1, n)).reshape(shape)
+    return g.sum(axis=tuple(range(extra)), dtype=_F32)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +436,13 @@ def _affine(op, x, w, b, temb):
         raise ShapeMismatchError(op, xd.shape, wd.shape, bd.shape,
                                  () if td is None else td.shape)
     y = _rows_matmul(xd, wd, w.requires_grad)
-    y += bd
+    # the same elementwise adds on a view m rows wide, so numpy's inner loop
+    # runs over m * N entries instead of once per N-entry row
+    m = math.gcd(y.shape[0], 64)
+    wide = y.reshape(-1, m * y.shape[1])
+    wide += np.tile(bd, m)
     if td is not None:
-        y += td
+        wide += np.tile(td, m)
     return y
 
 
@@ -483,6 +501,20 @@ def dense_silu(x, w, b, temb=None):
     return _finish("dense_silu", out, parents, vjp)
 
 
+def _row_max(y):
+    """y.max(axis=-1) of a finite y, as np.maximum over the last axis' slices.
+
+    One pass per slice instead of the per-row loop .max runs over a short
+    last axis (about 15x faster at (64, 256, 8)). Max is exact, so the
+    values are .max's; where the row's largest entries are a +0 and a -0,
+    the sign of the zero returned may differ.
+    """
+    out = y[..., 0].copy()
+    for j in range(1, y.shape[-1]):
+        np.maximum(out, y[..., j], out=out)
+    return out
+
+
 def attention_probs(x, pm, wq, wk, scale):
     """softmax((x @ wq) (pm @ wk)^T * scale) over the last axis, as one tape node.
 
@@ -510,7 +542,8 @@ def attention_probs(x, pm, wq, wk, scale):
     y *= s32
     if not np.isfinite(y).all():
         raise NonFiniteError("attention_probs")
-    y -= y.max(axis=-1, keepdims=True)
+    # a +0 or -0 row max changes only the sign of a zero, and exp maps both to 1
+    y -= _row_max(y)[..., None]
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True, dtype=_F64).astype(_F32)
 

@@ -3,13 +3,14 @@ and the model weights file built on them."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict
 
 import numpy as np
 
 from imukit.autodiff import Tensor
-from imukit.diffusion.model import DenoiserModel, ModelConfig
+from imukit.diffusion.model import DenoiserModel, ModelConfig, _param_specs
 from imukit.diffusion.schedule import build_schedule
 from imukit.ppm import ArtifactError
 
@@ -29,7 +30,8 @@ def read_container(path, fmt, shapes_of):
     """Bit-exact inverse of write_container: (header, float32 arrays).
 
     shapes_of(header) lists the payload's array shapes. A header that is not a
-    JSON line of format fmt, or a payload of another size, raises
+    JSON line of format fmt, whose shapes shapes_of cannot read or are not
+    lists of non-negative ints, or a payload of another size, raises
     ArtifactError naming the path.
     """
     with open(path, "rb") as f:
@@ -41,7 +43,13 @@ def read_container(path, fmt, shapes_of):
         raise ArtifactError(f"{path}: unreadable header: {e}") from None
     if not isinstance(header, dict) or header.get("format") != fmt:
         raise ArtifactError(f"{path}: unrecognized format, expected {fmt}")
-    shapes = [tuple(shape) for shape in shapes_of(header)]
+    try:
+        shapes = [tuple(shape) for shape in shapes_of(header)]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ArtifactError(f"{path}: header has no readable array shapes: {e!r}") from None
+    if not all(type(n) is int and n >= 0 for shape in shapes for n in shape):
+        raise ArtifactError(f"{path}: array shapes must be lists of non-negative "
+                            f"ints, got {[list(shape) for shape in shapes]}")
     expected = 4 * sum(int(np.prod(shape)) for shape in shapes)
     if len(payload) != expected:
         raise ArtifactError(f"{path}: payload size mismatch: expected "
@@ -73,7 +81,11 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Bit-exact inverse of save_model."""
+    """Bit-exact inverse of save_model.
+
+    A header whose params list differs from the one its model config
+    defines, in names, order or shapes, raises ArtifactError naming the path.
+    """
     header, arrays = read_container(
         path, _FORMAT, lambda h: [shape for _, shape in h["params"]])
     try:
@@ -82,6 +94,12 @@ def load_model(path):
                                header["schedule"]["beta_max"])
     except (KeyError, TypeError, ValueError) as e:
         raise ArtifactError(f"{path}: bad model header: {e!r}") from None
+    want = [(name, shape) for name, shape, _ in _param_specs(config)]
+    got = [(name, tuple(shape)) for name, shape in header["params"]]
+    for i, (w, g) in enumerate(itertools.zip_longest(want, got)):
+        if w != g:
+            raise ArtifactError(f"{path}: params do not match the model config: "
+                                f"param {i} is {g}, expected {w}")
     params = {name: Tensor(arr, requires_grad=False)
               for (name, _), arr in zip(header["params"], arrays)}
     return DenoiserModel(config, params, schedule=sched)

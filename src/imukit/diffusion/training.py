@@ -32,6 +32,15 @@ class TrainConfig:
     heldout_threshold: float = 0.35
     seed: int = 0
 
+    def __post_init__(self):
+        # steps = 0 stays valid here: train() then only scores the held-out
+        # set; a run's config asks for at least one step (ExperimentConfig)
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        for name in ("batch_size", "eval_every", "eval_rounds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class TrainResult:

@@ -100,6 +100,8 @@ class ExperimentConfig:
                 b < 2 for b in self.ablate_bins):
             raise ConfigError(
                 f"ablate_bins must be distinct and >= 2, got {list(self.ablate_bins)}")
+        if self.train.steps < 1:
+            raise ConfigError(f"train.steps must be >= 1, got {self.train.steps}")
         if self.attack.daa_mode != "dual":
             raise ConfigError(f"attack.daa_mode is set per method; only 'dual' "
                               f"is accepted, got {self.attack.daa_mode!r}")

@@ -73,6 +73,55 @@ def test_broadcast_suffix_fd():
     check_fd(lambda t: ad.mul(at, t), lambda xv: a.astype(np.float64) * xv, s, (4, 3))
 
 
+def _wide_range(gen, shape):
+    """float32 values over about 17 decades, of both signs, 5% of them +0 or -0."""
+    x = (gen.standard_normal(shape) * np.exp(gen.uniform(-20, 20, shape))).astype(np.float32)
+    flat = x.reshape(-1)
+    zeros = gen.random(flat.size) < 0.05
+    flat[zeros] = np.where(gen.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return x
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 24, 32, 40])
+def test_unbroadcast_is_float32_sum_bit_for_bit(n):
+    gen = np.random.default_rng(n)
+    for rows in (1, 2, 7, 64, 1000, 65536):
+        g = _wide_range(gen, (rows, n))
+        layouts = (g, _wide_range(gen, (2 * rows, n))[::2],
+                   _wide_range(gen, (rows, n + 5))[:, 2:2 + n], np.asfortranarray(g))
+        for case in layouts:
+            assert _same_bits(ad._unbroadcast(case, (n,)),
+                              case.sum(axis=0, dtype=np.float32))
+    g4 = _wide_range(gen, (4, 16, 16, n))
+    assert _same_bits(ad._unbroadcast(g4, (n,)), g4.sum(axis=(0, 1, 2), dtype=np.float32))
+    assert _same_bits(ad._unbroadcast(g4, (16, 16, n)), g4.sum(axis=0, dtype=np.float32))
+
+
+def test_unbroadcast_keeps_sum_for_one_column_and_scalars():
+    gen = np.random.default_rng(1)
+    g = _wide_range(gen, (1000, 1))
+    want = g.sum(axis=0, dtype=np.float32)
+    # einsum's unrolled partial sums give other bits here
+    assert np.einsum("ij->j", g).tobytes() != want.tobytes()
+    assert _same_bits(ad._unbroadcast(g, (1,)), want)
+    assert _same_bits(ad._unbroadcast(g[:, 0], ()), g[:, 0].sum(dtype=np.float32))
+    assert _same_bits(ad._unbroadcast(g[:, None, :], (1, 1)), want[None, :])
+
+
+@pytest.mark.parametrize("shape", [(64, 256, 8), (2, 64, 8), (5, 3), (3, 5, 1)])
+def test_row_max_is_numpy_max(shape):
+    gen = np.random.default_rng(shape[-1])
+    y = _wide_range(gen, shape)
+    y[::3, ..., -1] = y[::3, ..., 0]   # ties
+    got = ad._row_max(y)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, y.max(axis=-1))
+
+
 def test_matmul_fd():
     a = RNG.normal(size=(4, 3)).astype(np.float32)
     b = RNG.normal(size=(3, 5)).astype(np.float32)
@@ -306,28 +355,43 @@ def test_dense_silu_fd_all_parents():
     _fd_each_parent(ad.dense_silu, ref, [x, w, b, temb], (2, 3, 3, 5))
 
 
-@pytest.mark.parametrize("lead,c_in,c_out", [
-    ((1, 32, 32), 9, 16),       # enc0 at B=1, as in the attack
-    ((64, 16, 16), 56, 24),     # dec1 at a training batch
-])
-def test_dense_silu_bitwise_matches_unfused_chain(lead, c_in, c_out):
-    gen = np.random.default_rng(77)
-    arrays = _dense_silu_operands(gen, lead, c_in, c_out)
-    gout = gen.normal(size=lead + (c_out,)).astype(np.float32)
+def _assert_fused_is_chain(fused_fn, chain_fn, arrays, gen):
+    """fused_fn and chain_fn give the same output and parent gradients, bit
+    for bit, with every parent trainable."""
     results = []
-    for fn in (ad.dense_silu, _unfused_dense_silu):
+    for fn in (fused_fn, chain_fn):
         ts = [Tensor(a, requires_grad=True) for a in arrays]
         with Tape() as tape:
             out = fn(*ts)
-            loss = ad.sum_(ad.mul(out, Tensor(gout)))
+            if not results:
+                gout = Tensor(gen.normal(size=out.shape).astype(np.float32))
+            loss = ad.sum_(ad.mul(out, gout))
         grads = tape.backward(loss)
         results.append((out.data, [grads[t] for t in ts]))
     (fused, fused_grads), (chain, chain_grads) = results
-    assert fused.shape == lead + (c_out,)
+    assert fused.shape == chain.shape
     assert np.array_equal(fused, chain)
     for gf, gc in zip(fused_grads, chain_grads):
         assert gf.dtype == gc.dtype == np.float32
         assert np.array_equal(gf, gc)
+
+
+@pytest.mark.parametrize("lead,c_in,c_out", [
+    ((1, 32, 32), 9, 16),       # enc0 at B=1, as in the attack
+    ((64, 16, 16), 56, 24),     # dec1 at a training batch
+    ((64, 32, 32), 40, 16),     # dec0 at a training batch
+])
+def test_dense_silu_bitwise_matches_unfused_chain(lead, c_in, c_out):
+    gen = np.random.default_rng(77)
+    _assert_fused_is_chain(ad.dense_silu, _unfused_dense_silu,
+                           _dense_silu_operands(gen, lead, c_in, c_out), gen)
+
+
+def test_dense_bitwise_matches_unfused_chain():
+    # the head at a training batch: three output channels
+    gen = np.random.default_rng(80)
+    x, w, b, _ = _dense_silu_operands(gen, (64, 32, 32), 16, 3)
+    _assert_fused_is_chain(ad.dense, _unfused_dense, (x, w, b), gen)
 
 
 def test_dense_silu_input_only_gradient_and_node_count():
@@ -367,19 +431,8 @@ def test_dense_silu_shape_errors():
 def test_dense_silu_without_temb_matches_unfused_chain():
     gen = np.random.default_rng(78)
     x, w, b, _ = _dense_silu_operands(gen, (64, 32, 32), 16, 16)
-    gout = gen.normal(size=(64, 32, 32, 16)).astype(np.float32)
-    results = []
-    for fn in (ad.dense_silu, lambda *a: ad.silu(_unfused_dense(*a))):
-        ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
-        with Tape() as tape:
-            out = fn(*ts)
-            loss = ad.sum_(ad.mul(out, Tensor(gout)))
-        grads = tape.backward(loss)
-        results.append((out.data, [grads[t] for t in ts]))
-    (fused, fused_grads), (chain, chain_grads) = results
-    assert np.array_equal(fused, chain)
-    for gf, gc in zip(fused_grads, chain_grads):
-        assert np.array_equal(gf, gc)
+    _assert_fused_is_chain(ad.dense_silu, lambda *a: ad.silu(_unfused_dense(*a)),
+                           (x, w, b), gen)
     xt = Tensor(x[:1])
     xt.data[0, 0, 0, 0] = np.nan
     with pytest.raises(NonFiniteError) as err:

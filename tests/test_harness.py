@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +154,66 @@ def test_delta_file_wrong_payload_size_names_the_file(tmp_path, case):
     assert text in str(err.value)
 
 
+def _rewrite_header(path, edit, cut=0):
+    """Pass the container's JSON header through edit and drop cut payload bytes."""
+    line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n"
+                     + payload[:len(payload) - cut])
+
+
+@pytest.mark.parametrize("case,text", [
+    ("no shapes", "header has no readable array shapes"),
+    ("non-int", "must be lists of non-negative ints"),
+    ("negative", "must be lists of non-negative ints"),
+])
+@pytest.mark.parametrize("kind", ["model", "delta"])
+def test_container_bad_shape_list_names_the_file(tmp_path, tiny_model, kind, case, text):
+    if kind == "model":
+        path, key, read = tmp_path / "model.bin", "params", load_model
+        save_model(tiny_model, path)
+    else:
+        path, key, read = tmp_path / "img_000_delta.bin", "shape", read_delta
+        write_delta(path, np.zeros((4, 5, 3), dtype=np.float32), meta={"method": "danp"})
+    bad = {"non-int": ["a"], "negative": [-2, 3]}.get(case)
+
+    def edit(header):
+        if bad is None:
+            del header[key]
+        elif kind == "model":
+            header[key][0][1] = bad
+        else:
+            header[key] = bad
+
+    _rewrite_header(path, edit)
+    with pytest.raises(ArtifactError) as err:
+        read(path)
+    assert str(path) in str(err.value)
+    assert text in str(err.value)
+
+
+@pytest.mark.parametrize("case", ["dropped", "transposed"])
+def test_model_bin_params_must_match_the_config(tmp_path, tiny_model, case):
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    c_in, c0 = tiny_model.params["enc0_w"].shape
+    if case == "dropped":
+        # enc0_b left out of the list, and as many bytes out of the payload
+        _rewrite_header(path, lambda h: h["params"].pop(2), cut=4 * c0)
+        text = f"param 2 is ('enc0_t', {(tiny_model.config.d_time, c0)}), expected ('enc0_b', {(c0,)})"
+    else:
+        def transpose_enc0_w(header):
+            header["params"][1][1] = [c0, c_in]
+
+        _rewrite_header(path, transpose_enc0_w)
+        text = f"param 1 is ('enc0_w', {(c0, c_in)}), expected ('enc0_w', {(c_in, c0)})"
+    with pytest.raises(ArtifactError) as err:
+        load_model(path)
+    assert str(path) in str(err.value)
+    assert text in str(err.value)
+
+
 @pytest.mark.parametrize("method,daa_mode,lambda_nba", [
     ("none", "dual", 0.5), ("random-noise", "dual", 0.5),
     ("sa-style", "suppress-fixed", 0.0), ("danp", "dual", 0.5),
@@ -193,6 +255,7 @@ def test_config_validation_errors(tmp_path):
         with pytest.raises(ConfigError):
             tiny_experiment(tmp_path, n_unseen=0, edit_prompts=policy)
     tiny_experiment(tmp_path, n_unseen=0)
+    tiny_experiment(tmp_path, train={"steps": 1, "lr": 0.0})
     for timesteps in ([25], [0, 9], [19, 20]):
         with pytest.raises(ConfigError):
             tiny_experiment(tmp_path, attack={"iterations": 4, "timesteps": timesteps})
@@ -688,6 +751,35 @@ def test_cli_rejects_out_of_range_timesteps_before_writing(tmp_path):
     cfg_path.write_text(json.dumps(d))
     assert main(["gen-data", "--config", str(cfg_path)]) == 2
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("eval_every", 0), ("eval_rounds", 0), ("batch_size", 0), ("steps", 0), ("steps", -3),
+])
+def test_cli_rejects_train_values_before_writing(tmp_path, key, value):
+    d = tiny_experiment(tmp_path / "runs").to_dict()
+    d["train"][key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(d))
+    assert main(["gen-data", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_tree_diff_compare_rejects_missing_and_empty_trees(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "run_tree_diff", Path(__file__).resolve().parents[1] / "tools" / "run_tree_diff.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    full, empty, missing = tmp_path / "full", tmp_path / "empty", tmp_path / "missing"
+    (full / "eval").mkdir(parents=True)
+    (full / "eval" / "results.json").write_text('{"wall_time_s": 1.0}')
+    (empty / "eval").mkdir(parents=True)
+    for a, b, named in ((missing, tmp_path / "also-missing", missing),
+                        (full, missing, missing), (empty, full, empty),
+                        (full, empty, empty)):
+        assert tool.main(["compare", str(a), str(b)]) == 2
+        assert str(named) in capsys.readouterr().err
+    assert tool.main(["compare", str(full), str(full)]) == 0
 
 
 def test_cli_overrides_seed_out_and_jobs(tmp_path):

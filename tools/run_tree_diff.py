@@ -21,7 +21,8 @@ one side or differs once the timing, location and worker-count fields are
 dropped: the ``wall_time_s``, ``time_per_iter_s``, ``out_dir`` and ``jobs``
 keys of JSON files, the ``time_per_iter_s`` column of CSV files and the
 time/iter column of the summary's bin-sweep table. It exits 1 when any file
-differs.
+differs, and 2, naming the directory, when either is missing or holds no
+files.
 """
 
 from __future__ import annotations
@@ -87,7 +88,16 @@ def canonical(path):
 
 def compare(a, b):
     a, b = Path(a), Path(b)
-    files = {p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()}
+    trees = {}
+    for root in (a, b):
+        if not root.is_dir():
+            print(f"no such directory: {root}", file=sys.stderr)
+            return 2
+        trees[root] = {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+        if not trees[root]:
+            print(f"no files under {root}", file=sys.stderr)
+            return 2
+    files = trees[a] | trees[b]
     identical = differ = 0
     for rel in sorted(files):
         pa, pb = a / rel, b / rel
