@@ -7,9 +7,10 @@ attention inside the mask while amplifying it outside, minus the squared
 distance between the injected eps and the predicted noise. Gradients w.r.t.
 the perturbation are averaged over the timestep set and applied as a sign
 step, then projected to the L-inf budget and to valid image range. Images
-attacked with one config (up to the seed) step in lockstep: one model pass
-and one backward per timestep serve them all, without changing a bit of
-any image's result.
+attacked with one config (up to the seed) step in lockstep, and an
+iteration's timesteps run in groups: one model pass and one backward serve
+every image at every timestep of a group, without changing a bit of any
+image's result.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def total_loss(x0, delta, model, prompt, t, eps, cfg=AttackConfig(),
     """Combined attack objective at one timestep, from one model pass.
 
     x0, delta and eps are one (H, W, C) image, or a (B, H, W, C) batch with
-    a sequence of B prompts (and of B masks in mask_override). Each image is
+    a sequence of B prompts (and of B masks in mask_override); t is one
+    timestep, or for a batch a sequence of B, one per image. Each image is
     noised with its eps; its noise term is the negated mean squared error of
     the model's prediction of that eps (AdvDM's denoising loss). Each mask
     is recomputed from the same pass and frozen (stop-gradient) for this
@@ -156,9 +158,10 @@ def total_loss(x0, delta, model, prompt, t, eps, cfg=AttackConfig(),
         agg = aggregate(record, prompt)
         masks = mask_override
         if masks is None:
-            masks = [make_mask(a, cfg.bins, timestep=t) if cfg.daa_mode == "dual"
-                     else fixed_threshold_mask(a, cfg.sa_threshold, timestep=t)
-                     for a in agg.images()]
+            masks = [make_mask(a, cfg.bins, timestep=ti) if cfg.daa_mode == "dual"
+                     else fixed_threshold_mask(a, cfg.sa_threshold, timestep=ti)
+                     for a, ti in zip(agg.images(),
+                                      np.broadcast_to(t, len(x0)).tolist())]
         for c, flag, mask in zip(comps, agg.degenerate, masks, strict=True):
             c["degenerate"] = bool(flag or mask.degenerate)
             c["mask"] = mask
@@ -201,23 +204,38 @@ def snap_to_8bit(delta):
     return (np.trunc(delta.astype(np.float64) * 255.0) / 255.0).astype(np.float32)
 
 
-def immunize_batch(x0s, prompts, model, cfgs):
+def _has_loss(comps, cfg):
+    """Whether total_loss at one timestep, with these per-image components,
+    returns a loss: some term is on and not degenerate for every image."""
+    return cfg.lambda_nba != 0.0 or (
+        cfg.daa_mode != "off" and not all(c["degenerate"] for c in comps))
+
+
+def immunize_batch(x0s, prompts, model, cfgs, rows=None):
     """immunize() of several images in lockstep, one cfg and prompt per image.
 
-    The configs may differ only in their seeds. At each (iteration,
-    timestep) one taped forward_batch over every image and one backward give
-    each image its gradient. Each image draws its eps from its own seed's
-    stream and keeps its own trace, degenerate count and sign step.
-    Frozen-weight gemms run per image and every other op acts elementwise
-    or within one image, so each result is bit for bit immunize() of that
-    image alone, whichever images share its batch. Returns one
+    The configs may differ only in their seeds. Each iteration runs its
+    timesteps in groups of max(1, rows // B) for B images (one timestep per
+    group without rows), so a model pass holds at most rows taped rows once
+    rows >= B. Per group, one taped forward_batch over every (timestep,
+    image) row, timestep-major, and one backward give each image its
+    gradient at each timestep; every timestep has its own perturbation leaf,
+    so the gradients are summed over timesteps in the order a pass per
+    timestep sums them. Each image draws its eps from its own seed's stream,
+    in (timestep, image) order, and keeps its own trace, degenerate count
+    and sign step. Frozen-weight gemms run per image and every other op acts
+    elementwise or within one row, so each result is bit for bit immunize()
+    of that image alone, whichever rows share its pass. Returns one
     (x_imu, PerturbationState) per image.
     """
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ValueError("immunize_batch: configs may differ only in their seeds")
     x0 = np.stack([np.asarray(x, dtype=np.float32) for x in x0s])
+    bsz = len(x0)
     ts = resolve_timesteps(cfg, model.schedule)
+    per_group = max(1, (rows or bsz) // bsz)
+    groups = [ts[i:i + per_group] for i in range(0, len(ts), per_group)]
     rngs = [np.random.default_rng(np.random.SeedSequence([c.seed, 4])) for c in cfgs]
     gamma = np.float32(cfg.gamma)
     alpha = np.float32(cfg.alpha_step)
@@ -228,15 +246,24 @@ def immunize_batch(x0s, prompts, model, cfgs):
     for n in range(1, cfg.iterations + 1):
         g_total = np.zeros_like(x0)
         per_t = []
-        for t in ts:
+        for group in groups:
+            k = len(group)
             eps = np.stack([rng.standard_normal(x0.shape[1:]).astype(np.float32)
-                            for rng in rngs])
+                            for _ in group for rng in rngs])
+            t_rows = group[0] if k == 1 else np.repeat(group, bsz)
             with Tape() as tape:
-                delta_t = Tensor(delta, requires_grad=True)
-                loss, comps = total_loss(x0, delta_t, model, prompts, t, eps, cfg)
+                leaves = [Tensor(delta, requires_grad=True) for _ in group]
+                delta_rows = leaves[0] if k == 1 else ad.concat(leaves, axis=0)
+                loss, comps = total_loss(np.concatenate([x0] * k), delta_rows, model,
+                                         list(prompts) * k, t_rows, eps, cfg)
+            group_comps = [comps[j * bsz:(j + 1) * bsz] for j in range(k)]
             if loss is not None:
-                g_total += tape.backward(loss)[delta_t]
-            per_t.append(comps)
+                grads = tape.backward(loss)
+                for leaf, c in zip(leaves, group_comps):
+                    # a timestep that alone gives no loss adds no gradient
+                    if _has_loss(c, cfg):
+                        g_total += grads[leaf]
+            per_t.extend(group_comps)
         g_total /= np.float32(len(ts))
         delta = (delta - alpha * np.sign(g_total)).astype(np.float32)
         delta = _project(delta, x0, gamma)

@@ -14,7 +14,18 @@ the images of a batch runs one gemm per image, at the single-image shape.
 OpenBLAS picks its gemm kernel by row count, so one gemm over all images'
 rows can give a row other bits than the same image alone (dec1's K=56
 contraction does from B=3 on); per image, a row's bits do not depend on the
-rows that share its batch. Trainable weights keep one gemm over the batch.
+rows that share its batch. Their input gradients run in gemms of at most 512
+rows of one image, with the same bits (see _GRAD_ROWS). Trainable weights
+keep one gemm over the batch.
+
+The tape holds gradient keys, not tensors. A recorded op's output gets a
+key; its node holds that key, its parents' keys (a reshape view maps to its
+base's key and shape) and the vjp closure. Each closure captures only the
+arrays its parents' gradients read, for the parents that need gradients when
+the op runs, so an output nothing reads for backward is freed as soon as the
+forward code drops it. With frozen weights, dense and dense_silu keep no
+input and attention_probs keeps the probabilities and k^T only; a recorded
+dense_silu keeps one array, its derivative.
 
 Importing this module sets glibc's malloc policy for the whole process:
 freed blocks up to 32 MiB (glibc's 64-bit cap on M_MMAP_THRESHOLD) come
@@ -30,6 +41,7 @@ model. The policy changes no value. Where the C library has no mallopt
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import threading
 
@@ -38,13 +50,24 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "ShapeMismatchError", "NonFiniteError", "GradientError",
     "add", "sub", "mul", "matmul", "dense", "dense_silu", "attention_probs",
-    "attend", "scale", "silu", "softmax", "sum_", "mean_", "square",
-    "reshape", "transpose", "concat", "upsample2x", "upsample_concat",
-    "avgpool2x", "frobenius_sq", "l2_sq_distance",
+    "attend", "scale", "sum_", "mean_", "square", "reshape", "concat",
+    "upsample2x", "upsample_concat", "avgpool2x", "frobenius_sq",
+    "l2_sq_distance",
 ]
 
 _F32 = np.float32
 _F64 = np.float64
+
+# rows per block of a recorded dense_silu's activation and derivative: the
+# block buffers stay small where full-size ones would add to a pass's peak
+_BLOCK_ROWS = 2048
+
+# Rows per gemm of a frozen weight's input gradient. OpenBLAS (0.3.31,
+# SkylakeX, 2 threads) runs dec0's per-image (1024, 16) x (16, 40)^T product
+# on both threads, and on a 2-vCPU host the second thread at times takes
+# milliseconds to join: 0.5-1.7 ms per call on average over 500 calls, where
+# 512-row gemms take about 18 us. Runs of 512 rows give the same bits.
+_GRAD_ROWS = 512
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -95,7 +118,7 @@ class Tensor:
     internal no-copy path.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "key")
 
     def __init__(self, data, requires_grad=False):
         arr = np.array(data, dtype=_F32, order="C", copy=True)
@@ -103,12 +126,14 @@ class Tensor:
             raise NonFiniteError("tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)
+        self.key = None
 
     @classmethod
     def _wrap(cls, arr, requires_grad):
         t = object.__new__(cls)
         t.data = arr
         t.requires_grad = requires_grad
+        t.key = None
         return t
 
     @property
@@ -141,12 +166,21 @@ class _View(Tensor):
 
 
 class _Node:
-    __slots__ = ("out", "parents", "vjp")
+    """One recorded op: its output's key, and per parent a gradient key (None
+    when the parent needs no gradient) and the shape to reshape the parent's
+    gradient to (None unless the parent is a view)."""
 
-    def __init__(self, out, parents, vjp):
+    __slots__ = ("out", "keys", "shapes", "vjp")
+
+    def __init__(self, out, keys, shapes, vjp):
         self.out = out
-        self.parents = parents
+        self.keys = keys
+        self.shapes = shapes
         self.vjp = vjp
+
+
+# output keys, unique across tapes and threads
+_KEYS = itertools.count()
 
 
 _tls = threading.local()
@@ -174,8 +208,9 @@ class Tape(object):
             loss = ...                 # ops on requires_grad tensors record here
         grads = tape.backward(loss)    # {leaf Tensor: float32 ndarray}
 
-    backward consumes the tape: it leaves tape.nodes empty, and the
-    activations only the tape held are freed as it goes.
+    The tape keeps no output tensor, only keys and the arrays each vjp
+    reads. backward consumes the tape: it leaves tape.nodes empty, and the
+    arrays only the tape held are freed as it goes.
 
     A tape and its tensors belong to a single thread; independent tapes may
     run concurrently.
@@ -183,6 +218,7 @@ class Tape(object):
 
     def __init__(self):
         self.nodes = []
+        self.outs = set()
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -209,33 +245,47 @@ class Tape(object):
         nodes = self.nodes
         if not nodes:
             raise GradientError("backward: tape is empty")
-        if not any(n.out is root for n in nodes):
+        if root.key not in self.outs:
             raise GradientError("backward: root was not computed on this tape")
 
-        grads = {root: np.ones(root.data.shape, dtype=_F32)}
+        grads = {root.key: np.ones(root.data.shape, dtype=_F32)}
         while nodes:
             node = nodes.pop()
             g = grads.pop(node.out, None)
             if g is None:
                 continue
-            needs = tuple(p.requires_grad for p in node.parents)
+            needs = tuple(k is not None for k in node.keys)
             pgrads = node.vjp(g, needs)
-            for p, pg in zip(node.parents, pgrads):
+            for k, shape, pg in zip(node.keys, node.shapes, pgrads):
                 if pg is None:
                     continue
-                if type(p) is _View:
-                    p = p.base
-                    pg = pg.reshape(p.data.shape)
-                if p in grads:
-                    grads[p] = grads[p] + pg
+                if shape is not None:
+                    pg = pg.reshape(shape)
+                if k in grads:
+                    grads[k] = grads[k] + pg
                 else:
-                    grads[p] = pg
-        # each produced tensor's gradient was popped at its node; leaves remain
-        return {
-            t: _c_contig(np.asarray(g, dtype=_F32))
-            for t, g in grads.items()
-            if t.requires_grad
-        }
+                    grads[k] = pg
+        # each produced tensor's gradient was popped at its node; what remains
+        # is keyed by the leaf tensors themselves
+        return {t: _c_contig(np.asarray(g, dtype=_F32)) for t, g in grads.items()}
+
+    def _record(self, out, parents, vjp):
+        """Append out's node. A parent that needs a gradient is keyed by its
+        key if this tape made it, or else, as a leaf, by the tensor itself."""
+        keys, shapes = [], []
+        for p in parents:
+            shape = None
+            if type(p) is _View:
+                p = p.base
+                shape = p.data.shape
+            if not p.requires_grad:
+                keys.append(None)
+            else:
+                keys.append(p.key if p.key in self.outs else p)
+            shapes.append(shape)
+        out.key = next(_KEYS)
+        self.outs.add(out.key)
+        self.nodes.append(_Node(out.key, tuple(keys), tuple(shapes), vjp))
 
 
 def _c_contig(arr):
@@ -245,9 +295,22 @@ def _c_contig(arr):
     return arr
 
 
+def _needs(*parents):
+    """Which parents need a gradient: the vjp arrays an op must keep."""
+    return tuple(p.requires_grad for p in parents)
+
+
+def _recording(parents):
+    """Whether _finish will record an op with these parents on a tape."""
+    return any(p.requires_grad for p in parents) and _active_tape() is not None
+
+
 def _finish(op, out_arr, parents, vjp, check=True):
     """Validate an op output, wrap it, and record it if a tape is active.
 
+    vjp(g, needs) returns one gradient per parent, None where needs is
+    False; it should close over the arrays those gradients read and not
+    over the parent tensors, whose data the tape would otherwise keep.
     Pure data-movement ops pass check=False: they cannot create non-finite
     values from finite inputs, so the invariant holds transitively.
     """
@@ -261,7 +324,7 @@ def _finish(op, out_arr, parents, vjp, check=True):
     if rg:
         tape = _active_tape()
         if tape is not None:
-            tape.nodes.append(_Node(out, tuple(parents), vjp))
+            tape._record(out, parents, vjp)
     return out
 
 
@@ -306,37 +369,50 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     _suffix_shapes("add", a, b)
+    sa, sb = a.shape, b.shape
 
     def vjp(g, needs):
-        return (_unbroadcast(g, a.shape) if needs[0] else None,
-                _unbroadcast(g, b.shape) if needs[1] else None)
+        return (_unbroadcast(g, sa) if needs[0] else None,
+                _unbroadcast(g, sb) if needs[1] else None)
 
     return _finish("add", a.data + b.data, (a, b), vjp)
 
 
 def sub(a, b):
     _suffix_shapes("sub", a, b)
+    sa, sb = a.shape, b.shape
 
     def vjp(g, needs):
-        return (_unbroadcast(g, a.shape) if needs[0] else None,
-                _unbroadcast(-g, b.shape) if needs[1] else None)
+        return (_unbroadcast(g, sa) if needs[0] else None,
+                _unbroadcast(-g, sb) if needs[1] else None)
 
     return _finish("sub", a.data - b.data, (a, b), vjp)
 
 
 def mul(a, b):
     _suffix_shapes("mul", a, b)
-    ad, bd = a.data, b.data
+    sa, sb = a.shape, b.shape
+    need_a, need_b = _needs(a, b)
+    # each parent's gradient reads the other parent's data
+    bd = b.data if need_a else None
+    ad = a.data if need_b else None
 
     def vjp(g, needs):
-        return (_unbroadcast(g * bd, a.shape) if needs[0] else None,
-                _unbroadcast(g * ad, b.shape) if needs[1] else None)
+        return (_unbroadcast(g * bd, sa) if needs[0] else None,
+                _unbroadcast(g * ad, sb) if needs[1] else None)
 
-    return _finish("mul", ad * bd, (a, b), vjp)
+    return _finish("mul", a.data * b.data, (a, b), vjp)
 
 
 def scale(x, s):
-    s32 = _F32(s)
+    """x * s, for a number s or one factor per index of x's first axis."""
+    if np.ndim(s):
+        s32 = np.asarray(s, dtype=_F32)
+        if s32.shape != x.shape[:1]:
+            raise ShapeMismatchError("scale", x.shape, s32.shape)
+        s32 = _per_image(s32, x.data.ndim)
+    else:
+        s32 = _F32(s)
 
     def vjp(g, needs):
         return (g * s32 if needs[0] else None,)
@@ -344,42 +420,14 @@ def scale(x, s):
     return _finish("scale", x.data * s32, (x,), vjp)
 
 
-def silu(x):
-    xd = x.data
-    sig = _F32(1.0) / (_F32(1.0) + np.exp(-xd))
-    out = xd * sig
-
-    def vjp(g, needs):
-        if not needs[0]:
-            return (None,)
-        return (g * (sig + out * (_F32(1.0) - sig)),)
-
-    return _finish("silu", out, (x,), vjp)
-
-
 def square(x):
     xd = x.data
+    kept = xd if x.requires_grad else None
 
     def vjp(g, needs):
-        return (g * (_F32(2.0) * xd) if needs[0] else None,)
+        return (g * (_F32(2.0) * kept) if needs[0] else None,)
 
     return _finish("square", xd * xd, (x,), vjp)
-
-
-def softmax(x, axis=-1):
-    """Numerically stable softmax along one axis; rows sum to 1."""
-    xd = x.data
-    shifted = xd - xd.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True, dtype=_F64).astype(_F32)
-
-    def vjp(g, needs):
-        if not needs[0]:
-            return (None,)
-        dot = (g * y).sum(axis=axis, keepdims=True, dtype=_F64).astype(_F32)
-        return ((g - dot) * y,)
-
-    return _finish("softmax", y, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -397,42 +445,56 @@ def matmul(a, b):
     if bd.ndim > 2 and ad.ndim == 2:
         raise ShapeMismatchError("matmul", ad.shape, bd.shape)
     out = np.matmul(ad, bd)
+    need_a, need_b = _needs(a, b)
+    # a's gradient reads b, and b's reads a
+    kept_b = bd if need_a else None
+    kept_a = ad if need_b else None
+    stacked_left = bd.ndim == 2 and ad.ndim > 2
 
     def vjp(g, needs):
         ga = gb = None
         if needs[0]:
-            ga = np.matmul(g, bd.swapaxes(-1, -2))
+            ga = np.matmul(g, kept_b.swapaxes(-1, -2))
         if needs[1]:
-            if bd.ndim == 2 and ad.ndim > 2:
-                k = ad.shape[-1]
+            if stacked_left:
+                k = kept_a.shape[-1]
                 m = g.shape[-1]
-                gb = np.matmul(ad.reshape(-1, k).T, g.reshape(-1, m))
+                gb = np.matmul(kept_a.reshape(-1, k).T, g.reshape(-1, m))
             else:
-                gb = np.matmul(ad.swapaxes(-1, -2), g)
+                gb = np.matmul(kept_a.swapaxes(-1, -2), g)
         return ga, gb
 
     return _finish("matmul", out, (a, b), vjp)
 
 
-def _rows_matmul(a, w, trainable):
+def _rows_matmul(a, w, trainable, block=None):
     """(rows, N) product of a's rows, flattened over its leading axes, with w.
 
     a's first axis counts images; with frozen weights (not trainable) each
-    image gets its own gemm at the single-image shape (see the module note).
+    image gets its own gemm at the single-image shape (see the module note),
+    or with block, one gemm per run of gcd(block, rows per image) rows.
     """
     k = a.shape[-1]
+    if not trainable and block and a.ndim > 2:
+        rows = math.gcd(block, math.prod(a.shape[1:-1]))
+        return np.matmul(a.reshape(-1, rows, k), w).reshape(-1, w.shape[1])
     if not trainable and a.ndim > 2 and a.shape[0] > 1:
         return np.matmul(a.reshape(a.shape[0], -1, k), w).reshape(-1, w.shape[1])
     return np.matmul(a.reshape(-1, k), w)
 
 
 def _affine(op, x, w, b, temb):
-    """x @ w + b (+ temb) over the last axis of x, as a (rows, N) array."""
+    """x @ w + b (+ temb) over the last axis of x, as a (rows, N) array.
+
+    temb is one (N,) row for every image, or a (B, 1, ..., 1, N) array with
+    one row per index of x's first axis, broadcast over the axes between.
+    """
     xd, wd, bd = x.data, w.data, b.data
     td = None if temb is None else temb.data
+    per_image = xd.shape[:1] + (1,) * (xd.ndim - 2) + wd.shape[1:]
     if (xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]
             or bd.shape != wd.shape[1:]
-            or (td is not None and td.shape != wd.shape[1:])):
+            or (td is not None and td.shape not in (wd.shape[1:], per_image))):
         raise ShapeMismatchError(op, xd.shape, wd.shape, bd.shape,
                                  () if td is None else td.shape)
     y = _rows_matmul(xd, wd, w.requires_grad)
@@ -441,22 +503,43 @@ def _affine(op, x, w, b, temb):
     m = math.gcd(y.shape[0], 64)
     wide = y.reshape(-1, m * y.shape[1])
     wide += np.tile(bd, m)
-    if td is not None:
+    if td is not None and td.ndim == 1:
         wide += np.tile(td, m)
+    elif td is not None:
+        # per image: m divides each image's row count, so a wide row never
+        # straddles two images
+        rows = td.reshape(td.shape[0], -1)
+        m = math.gcd(y.shape[0] // len(rows), 64)
+        wide = y.reshape(len(rows), -1, m * y.shape[1])
+        wide += np.tile(rows, m)[:, None, :]
     return y
 
 
-def _affine_vjp(x, w, b, gy, needs):
-    """Parent gradients of _affine from gy, the gradient of its result
-    shaped like x with the last axis mapped through w."""
-    xd, wd = x.data, w.data
-    gx = (_rows_matmul(gy, wd.T, w.requires_grad).reshape(xd.shape)
-          if needs[0] else None)
-    gy = gy.reshape(-1, wd.shape[1])
-    gw = np.matmul(xd.reshape(-1, wd.shape[0]).T, gy) if needs[1] else None
-    # b and temb are both added to every row, so they share one column sum
-    col = _unbroadcast(gy, b.shape) if any(needs[2:]) else None
-    return (gx, gw) + tuple(col if n else None for n in needs[2:])
+def _affine_vjp(x, w, b, temb):
+    """The vjp(gy, needs) of _affine, where gy is the gradient of its result
+    shaped like x with the last axis mapped through w. It keeps w's data
+    for x's gradient and x's data for w's, and nothing else."""
+    need_x, need_w = _needs(x, w)
+    xshape, wshape, bshape = x.data.shape, w.data.shape, b.data.shape
+    trainable = w.requires_grad
+    wd = w.data if need_x else None
+    xd = x.data if need_w else None
+    tshape = None if temb is None else temb.data.shape
+
+    def vjp(gy, needs):
+        gx = (_rows_matmul(gy, wd.T, trainable, _GRAD_ROWS).reshape(xshape)
+              if needs[0] else None)
+        gy = gy.reshape(-1, wshape[1])
+        gw = np.matmul(xd.reshape(-1, wshape[0]).T, gy) if needs[1] else None
+        # b and a shared temb are both added to every row, so they share one
+        # column sum; a per-image temb takes one column sum per image
+        col = gt = _unbroadcast(gy, bshape) if any(needs[2:]) else None
+        if tshape not in (None, bshape) and needs[3]:
+            gt = gy.reshape(tshape[0], -1, wshape[1]).sum(axis=1, dtype=_F32)
+            gt = gt.reshape(tshape)
+        return (gx, gw) + tuple(c if n else None for n, c in zip(needs[2:], (col, gt)))
+
+    return vjp
 
 
 def dense(x, w, b):
@@ -468,36 +551,61 @@ def dense(x, w, b):
     """
     out = _affine("dense", x, w, b, None)
     out = out.reshape(x.data.shape[:-1] + w.data.shape[1:])
-
-    def vjp(g, needs):
-        return _affine_vjp(x, w, b, g, needs)
-
-    return _finish("dense", out, (x, w, b), vjp)
+    return _finish("dense", out, (x, w, b), _affine_vjp(x, w, b, None))
 
 
 def dense_silu(x, w, b, temb=None):
     """silu(x @ w + b + temb) over the last axis of x, as one tape node.
 
-    Without temb it is silu(x @ w + b). Same float32 operations in the same
-    order as the unfused reshape/matmul/add/add/silu chain, so values and
-    gradients match it bit for bit; of the intermediates only the output and
-    the sigmoid are kept for backward. One finite check covers every step,
-    because a NaN or Inf in any of them reaches the output.
+    Without temb it is silu(x @ w + b); temb is one row for every image or
+    one row per image, as in _affine. Same float32 operations in the
+    same order as the unfused reshape/matmul/add/add/silu chain, so values
+    and gradients match it bit for bit. When the node is recorded, the
+    forward also computes the chain's silu derivative, sig + out * (1 - sig),
+    with the chain's float32 ops, and keeps only that array for backward.
+    One finite check covers every step, because a NaN or Inf in any of them
+    reaches the output.
     """
-    y = _affine("dense_silu", x, w, b, temb)
-    sig = np.negative(y)
-    np.exp(sig, out=sig)
-    sig += _F32(1.0)
-    np.divide(_F32(1.0), sig, out=sig)
-    y *= sig
-    out_shape = x.data.shape[:-1] + w.data.shape[1:]
-    out = y.reshape(out_shape)
-    sig = sig.reshape(out_shape)
-
-    def vjp(g, needs):
-        return _affine_vjp(x, w, b, g * (sig + out * (_F32(1.0) - sig)), needs)
-
     parents = (x, w, b) if temb is None else (x, w, b, temb)
+    recording = _recording(parents)
+    if recording:
+        # allocated ahead of the product, so the kept array does not land
+        # above the transient ones on the heap
+        d = np.empty((math.prod(x.data.shape[:-1]), w.data.shape[1]), dtype=_F32)
+    y = _affine("dense_silu", x, w, b, temb)
+    out = y.reshape(x.data.shape[:-1] + w.data.shape[1:])
+    vjp = None
+    if not recording:
+        sig = np.negative(y)
+        np.exp(sig, out=sig)
+        sig += _F32(1.0)
+        np.divide(_F32(1.0), sig, out=sig)
+        y *= sig
+    else:
+        # a block of rows at a time: sig, out = y * sig and the kept
+        # derivative sig + out * (1 - sig), whose products and sums commute
+        # exactly in IEEE arithmetic
+        n = min(_BLOCK_ROWS, len(y))
+        sig = np.empty((n, y.shape[1]), dtype=_F32)
+        tmp = np.empty_like(sig)
+        for i in range(0, len(y), n):
+            yb = y[i:i + n]
+            s, t = sig[:len(yb)], tmp[:len(yb)]
+            np.negative(yb, out=s)
+            np.exp(s, out=s)
+            s += _F32(1.0)
+            np.divide(_F32(1.0), s, out=s)
+            yb *= s
+            np.subtract(_F32(1.0), s, out=t)
+            t *= yb
+            np.add(s, t, out=d[i:i + n])
+        d = d.reshape(out.shape)
+        affine_vjp = _affine_vjp(x, w, b, temb)
+
+        def vjp(g, needs):
+            # d is read once, by this call, so it takes the product in place
+            return affine_vjp(np.multiply(g, d, out=d), needs)
+
     return _finish("dense_silu", out, parents, vjp)
 
 
@@ -547,6 +655,18 @@ def attention_probs(x, pm, wq, wk, scale):
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True, dtype=_F64).astype(_F32)
 
+    # keep what the needed gradients read: the probabilities always, k^T for
+    # x and wq, q's weights for x, the flattened x for wq, q for pm and wk
+    need_x, need_p, need_q, need_k = _needs(x, pm, wq, wk)
+    xshape, pshape, qshape, k2shape = xd.shape, pd.shape, qd.shape, k2.shape
+    k_trainable = wk.requires_grad
+    kt = kt if need_x or need_q else None
+    qd = qd if need_x else None
+    flat = flat if need_q else None
+    q = q if need_p or need_k else None
+    kd = kd if need_p else None
+    pd = pd if need_k else None
+
     def vjp(g, needs):
         gs = g - (g * y).sum(axis=-1, keepdims=True, dtype=_F64).astype(_F32)
         gs *= y
@@ -555,17 +675,17 @@ def attention_probs(x, pm, wq, wk, scale):
         if needs[0] or needs[2]:
             gqv = np.matmul(gs, kt.swapaxes(-1, -2))
             if needs[0]:
-                gx = np.matmul(gqv, qd.swapaxes(-1, -2)).reshape(xd.shape)
+                gx = np.matmul(gqv, qd.swapaxes(-1, -2)).reshape(xshape)
             if needs[2]:
-                gq = np.matmul(flat.reshape(-1, qd.shape[0]).T,
-                               gqv.reshape(-1, qd.shape[1]))
+                gq = np.matmul(flat.reshape(-1, qshape[0]).T,
+                               gqv.reshape(-1, qshape[1]))
         if needs[1] or needs[3]:
             # transposed back from (q^T @ gs), as the transpose node did
             gk2 = np.transpose(np.matmul(q.swapaxes(-1, -2), gs),
-                               (0, 2, 1)).reshape(k2.shape)
+                               (0, 2, 1)).reshape(k2shape)
             if needs[1]:
                 gp = _rows_matmul(gk2.reshape(bsz, s, -1), kd.T,
-                                  wk.requires_grad).reshape(pd.shape)
+                                  k_trainable).reshape(pshape)
             if needs[3]:
                 gk = np.matmul(pd.reshape(bsz * s, d).T, gk2)
         return gx, gp, gq, gk
@@ -596,15 +716,24 @@ def attend(x, attn, pm, wv):
     av = np.matmul(atd, v)
     out = xd + av.reshape(xd.shape)
 
+    # attn's gradient reads v; pm's and wv's read attn, and pm's wv, wv's pm
+    _, need_a, need_p, need_v = _needs(x, attn, pm, wv)
+    v2shape, pshape = v2.shape, pd.shape
+    v_trainable = wv.requires_grad
+    v = v if need_a else None
+    atd = atd if need_p or need_v else None
+    vd = vd if need_p else None
+    pd = pd if need_v else None
+
     def vjp(g, needs):
         gav = g.reshape(bsz, n, -1)
         ga = np.matmul(gav, v.swapaxes(-1, -2)) if needs[1] else None
         gp = gw = None
         if needs[2] or needs[3]:
-            gv2 = np.matmul(atd.swapaxes(-1, -2), gav).reshape(v2.shape)
+            gv2 = np.matmul(atd.swapaxes(-1, -2), gav).reshape(v2shape)
             if needs[2]:
                 gp = _rows_matmul(gv2.reshape(bsz, s, -1), vd.T,
-                                  wv.requires_grad).reshape(pd.shape)
+                                  v_trainable).reshape(pshape)
             if needs[3]:
                 gw = np.matmul(pd.reshape(bsz * s, d).T, gv2)
         return (g if needs[0] else None), ga, gp, gw
@@ -670,9 +799,10 @@ def frobenius_sq(x, per_image=False):
     the sums over each index of x's first axis."""
     xd = x.data
     out = _sum64(xd.astype(_F64) ** 2, per_image)
+    kept = xd if x.requires_grad else None
 
     def vjp(g, needs):
-        return (_per_image(g, xd.ndim) * (_F32(2.0) * xd) if needs[0] else None,)
+        return (_per_image(g, kept.ndim) * (_F32(2.0) * kept) if needs[0] else None,)
 
     return _finish("frobenius_sq", out, (x,), vjp)
 
@@ -711,19 +841,9 @@ def reshape(x, shape):
     view = object.__new__(_View)
     view.data = out
     view.requires_grad = x.requires_grad
+    view.key = None
     view.base = x.base if type(x) is _View else x
     return view
-
-
-def transpose(x, axes=None):
-    xd = x.data
-    perm = tuple(axes) if axes is not None else tuple(range(xd.ndim))[::-1]
-    inv = np.argsort(perm)
-
-    def vjp(g, needs):
-        return (np.transpose(g, inv) if needs[0] else None,)
-
-    return _finish("transpose", np.transpose(xd, perm), (x,), vjp, check=False)
 
 
 def concat(tensors, axis=0):
@@ -736,13 +856,12 @@ def concat(tensors, axis=0):
         s = list(t.shape)
         if len(s) != len(base) or s[:axis] + s[axis + 1:] != base[:axis] + base[axis + 1:]:
             raise ShapeMismatchError("concat", tensors[0].shape, t.shape)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def vjp(g, needs):
         outs = []
-        for i, t in enumerate(tensors):
-            if not needs[i]:
+        for i, need in enumerate(needs):
+            if not need:
                 outs.append(None)
                 continue
             sl = [slice(None)] * g.ndim

@@ -163,6 +163,18 @@ class DenoiserModel:
         return np.concatenate([np.sin(ang), np.cos(ang)]).astype(np.float32)
 
     def _temb(self, t, prefix):
+        if np.ndim(t):
+            # per-row timesteps: each row's cached frozen projection, shaped
+            # to broadcast over the row's pixels
+            if self.trainable:
+                raise ValueError("per-row timesteps need frozen weights")
+            key = (tuple(int(s) for s in t), prefix)
+            rows = self._temb_proj_cache.get(key)
+            if rows is None:
+                rows = Tensor._wrap(np.stack([self._temb(s, prefix).data
+                                              for s in key[0]])[:, None, None, :], False)
+                self._temb_proj_cache[key] = rows
+            return rows
         if not self.trainable:
             cached = self._temb_proj_cache.get((t, prefix))
             if cached is not None:
@@ -194,9 +206,11 @@ class DenoiserModel:
     def encode(self, xb, t, pm, record=None):
         """Encoder levels and both cross-attention blocks: (h0, h1, h2).
 
-        xb is a (B, H, W, C) batch at one shared timestep and pm the
-        (B, S, d_text) prompt embedding batch. With a record the
-        post-softmax maps of both cross-attention blocks are appended.
+        xb is a (B, H, W, C) batch and pm the (B, S, d_text) prompt
+        embedding batch. t is one timestep shared by every row or, with
+        frozen weights, a sequence of B timesteps, one per row; a row's
+        result has the same bits either way. With a record the post-softmax
+        maps of both cross-attention blocks are appended.
         """
         size = self.config.image_size
         if xb.ndim != 4 or xb.shape[1:] != (size, size, self.config.in_channels):
@@ -221,9 +235,10 @@ class DenoiserModel:
         return h0, h1, h2
 
     def forward_batch(self, xb, t, pm, capture_attention=False):
-        """Predict noise for a (B, H, W, C) batch at one shared timestep.
+        """Predict noise for a (B, H, W, C) batch.
 
-        pm is the (B, S, d_text) prompt embedding batch. With
+        t and pm are as in encode: one timestep or, with frozen weights, one
+        per row, and the (B, S, d_text) prompt embedding batch. With
         capture_attention the post-softmax maps of both cross-attention
         blocks are recorded, as (B, H_i, W_i, S) tensors.
         """

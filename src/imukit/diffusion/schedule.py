@@ -47,19 +47,24 @@ def forward_diffuse(schedule, x0, t, eps):
     """Noise x0 to level t: sqrt(abar_t) * x0 + sqrt(1 - abar_t) * eps.
 
     Differentiable in x0 when x0 is a requires_grad Tensor; eps may be a
-    Tensor or a plain array of the same shape.
+    Tensor or a plain array of the same shape. For a Tensor x0, t may also
+    be a sequence of timesteps, one per index of x0's first axis; each row
+    gets the bits it gets at its timestep alone.
     """
-    if not (0 <= t < schedule.T):
+    ts = np.asarray(t)
+    if ((ts < 0) | (ts >= schedule.T)).any():
         raise ValueError(f"forward_diffuse: timestep {t} outside [0, {schedule.T})")
-    abar = schedule.alpha_bar[t]
-    c0 = float(np.sqrt(abar))
-    ce = float(np.sqrt(1.0 - abar))
+    abar = schedule.alpha_bar[ts]
+    c0 = np.sqrt(abar)
+    ce = np.sqrt(1.0 - abar)
     if isinstance(x0, Tensor):
         eps_t = eps if isinstance(eps, Tensor) else Tensor(eps)
         if x0.shape != eps_t.shape:
             raise ValueError(
                 f"forward_diffuse: eps shape {eps_t.shape} != x0 shape {x0.shape}")
         return add(scale(x0, c0), scale(eps_t, ce))
+    if ts.ndim:
+        raise ValueError("forward_diffuse: per-row timesteps need a Tensor x0")
     x0 = np.asarray(x0, dtype=np.float32)
     eps = np.asarray(eps, dtype=np.float32)
     if x0.shape != eps.shape:

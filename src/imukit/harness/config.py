@@ -28,9 +28,13 @@ class ConfigError(ValueError):
 
 
 def check_methods(methods):
-    for m in methods:
+    """Reject unknown and repeated methods: a repeated method would be
+    attacked, written and scored once per listing."""
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+        if m in methods[:i]:
+            raise ConfigError(f"method {m!r} is listed more than once")
 
 
 @dataclass

@@ -30,7 +30,9 @@ from imukit.diffusion.schedule import forward_diffuse
 from imukit.diffusion.text import encode_caption
 from imukit.diffusion.training import train
 from imukit.harness.artifacts import read_json, write_delta, write_json
-from imukit.harness.config import METHOD_CODES, ConfigError, ExperimentConfig, config_hash
+from imukit.harness.config import (
+    METHOD_CODES, ConfigError, ExperimentConfig, check_methods, config_hash,
+)
 from imukit.harness.tables import METRIC_NAMES, aggregate_rows, write_csv, write_results
 from imukit.metrics import full_report
 from imukit.ppm import read_ppm, write_ppm
@@ -40,11 +42,18 @@ from imukit.ppm import read_ppm, write_ppm
 # name for it (perfbench/workloads.py, layer_targets).
 __all__ = ["immunize"]
 
-# Images per lockstep attack chunk. On the default model the immunize stage
-# over 6 images peaks at about 41.5 MiB with one-image chunks; chunks of 2, 3,
-# 4 and 6 images add about 1.3, 2.6, 4.3 and 7.0 MiB. At 3 that is 6% of the
-# peak, at 4 it is 10%.
-ATTACK_ROWS = 3
+# Taped rows per model pass of the attack. A lockstep chunk holds at most
+# this many images, and a chunk of B images attacks max(1, ATTACK_ROWS // B)
+# timesteps per pass. tools/attack_rows.py (danp, 6 images x 10 iterations,
+# default model, medians of 3 fresh processes; 2-vCPU Xeon):
+#
+#   rows          2     3     4     6     8
+#   peak MiB   42.6  43.2  43.8  45.0  45.0
+#   ms/img-it  14.2  11.0  10.0   8.7  10.5
+#
+# 4 keeps the benchmark's 2-image stage (perfbench immunize) within 1% of
+# the peak it had with one timestep per pass; 6 rows add about 3% there.
+ATTACK_ROWS = 4
 
 # seed-sequence role tags: [seed, role, ...]
 _ROLE_MODEL = 1
@@ -309,9 +318,9 @@ def _loss_weights(acfg):
 def _immunize_chunk(model, cfg, paths, items, method, idxs):
     """Immunize test items idxs with one method and write their artifacts.
 
-    An attack runs the chunk's images in lockstep (immunize_batch), so each
-    report's wall_time_s is the chunk's wall time divided by its number of
-    images.
+    An attack runs the chunk's images in lockstep (immunize_batch), at most
+    ATTACK_ROWS taped rows per model pass, so each report's wall_time_s is
+    the chunk's wall time divided by its number of images.
     """
     acfgs = [method_attack_config(
         cfg, method, _derive_seed(cfg.seed, _ROLE_ATTACK, METHOD_CODES[method], idx))
@@ -325,7 +334,7 @@ def _immunize_chunk(model, cfg, paths, items, method, idxs):
                    for x0, acfg in zip(images, acfgs)]
     else:
         prompts = [model.encode_prompt(items[idx].tokens) for idx in idxs]
-        results = immunize_batch(images, prompts, model, acfgs)
+        results = immunize_batch(images, prompts, model, acfgs, rows=ATTACK_ROWS)
     elapsed = (time.perf_counter() - t0) / len(idxs)
 
     for idx, x0, acfg, (x_imu, state) in zip(idxs, images, acfgs, results):
@@ -384,7 +393,8 @@ def _run_tasks(fn, model, cfg, paths, items, tasks):
 
 
 def _chunks(idxs, jobs):
-    """idxs in consecutive lockstep chunks of at most ATTACK_ROWS images.
+    """idxs in consecutive lockstep chunks of at most ATTACK_ROWS images,
+    so a model pass of the chunk at one timestep fits the row cap.
 
     With jobs > 1 a chunk also holds at most 1/jobs of the images, so the
     images of one method spread over every worker.
@@ -396,10 +406,11 @@ def _chunks(idxs, jobs):
 
 def cmd_immunize(cfg, methods=None):
     """Produce immunized images, raw deltas, and attack reports per method."""
+    methods = tuple(methods) if methods else cfg.methods
+    check_methods(methods)
     paths = run_paths(cfg)
     _require(paths.manifest, paths.model_bin)
     _write_config(cfg, paths)
-    methods = tuple(methods) if methods else cfg.methods
     items = load_split(paths, "test")
     for method in methods:
         paths.immunize_dir(method).mkdir(parents=True, exist_ok=True)
@@ -520,6 +531,7 @@ def cmd_evaluate(cfg, methods=None):
     """Metric tables for defense (edit vs edit) and imperceptibility (x0 vs x_imu)."""
     paths = run_paths(cfg)
     methods = tuple(methods) if methods else cfg.methods
+    check_methods(methods)
     items_missing = [paths.manifest, paths.model_bin]
     _require(*items_missing)
     items = load_split(paths, "test")
@@ -609,7 +621,7 @@ def cmd_ablate(cfg):
                 results = immunize_batch(
                     [items[idx].image for idx in idxs],
                     [model.encode_prompt(items[idx].tokens) for idx in idxs],
-                    model, acfgs)
+                    model, acfgs, rows=ATTACK_ROWS)
                 if rep == 0:
                     for idx, (x_imu, _) in zip(idxs, results):
                         write_ppm(paths.bins_image(bins, idx), x_imu)

@@ -4,12 +4,63 @@ The finite-difference oracle evaluates float64 reference implementations of
 each operation (written here from the definitions, sharing no code with the
 package) so that the h=1e-3 central difference is not polluted by float32
 forward rounding. Production analytic gradients are compared against these.
+
+The package's fused ops are checked bit for bit against chains of unfused
+tape ops. The silu, softmax and transpose steps of those chains have no
+other use, so they live here, recorded through the package's own tape.
 """
 
 import math
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
+
+from imukit.autodiff import _finish
+
+# ---------------------------------------------------------------------------
+# unfused float32 tape ops, the steps of the chains the fused ops must match
+# ---------------------------------------------------------------------------
+
+
+def silu(x):
+    xd = x.data
+    sig = np.float32(1.0) / (np.float32(1.0) + np.exp(-xd))
+    out = xd * sig
+
+    def vjp(g, needs):
+        if not needs[0]:
+            return (None,)
+        return (g * (sig + out * (np.float32(1.0) - sig)),)
+
+    return _finish("silu", out, (x,), vjp)
+
+
+def softmax(x, axis=-1):
+    """Numerically stable softmax along one axis; rows sum to 1."""
+    xd = x.data
+    shifted = xd - xd.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True, dtype=np.float64).astype(np.float32)
+
+    def vjp(g, needs):
+        if not needs[0]:
+            return (None,)
+        dot = (g * y).sum(axis=axis, keepdims=True, dtype=np.float64).astype(np.float32)
+        return ((g - dot) * y,)
+
+    return _finish("softmax", y, (x,), vjp)
+
+
+def transpose(x, axes=None):
+    xd = x.data
+    perm = tuple(axes) if axes is not None else tuple(range(xd.ndim))[::-1]
+    inv = np.argsort(perm)
+
+    def vjp(g, needs):
+        return (np.transpose(g, inv) if needs[0] else None,)
+
+    return _finish("transpose", np.transpose(xd, perm), (x,), vjp, check=False)
+
 
 # ---------------------------------------------------------------------------
 # float64 reference ops (definition transcriptions, no package imports)

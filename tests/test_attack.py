@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,6 +496,9 @@ def test_lockstep_configs_may_differ_only_in_seed():
 
 
 def test_lockstep_step_runs_one_pass_and_one_backward(forward_calls, monkeypatch):
+    """One model pass and one backward per timestep group: 3 rows per pass
+    at one timestep per pass, and with 9 rows per pass the micro model's
+    10 timesteps run as groups of 3, 3, 3 and 1 (9, 9, 9 and 3 rows)."""
     model = micro_model()
     xs, prompts, cfgs = lockstep_inputs(model, 3, iterations=2)
     backwards = []
@@ -505,7 +509,112 @@ def test_lockstep_step_runs_one_pass_and_one_backward(forward_calls, monkeypatch
         return original(self, root)
 
     monkeypatch.setattr(Tape, "backward", counting)
-    immunize_batch(xs, prompts, model, cfgs)
-    steps = 2 * len(resolve_timesteps(cfgs[0], model.schedule))
-    assert forward_calls == [3] * steps
-    assert backwards == [()] * steps
+    assert len(resolve_timesteps(cfgs[0], model.schedule)) == 10
+    for rows, per_pass in ((None, [3] * 10), (9, [9, 9, 9, 3])):
+        forward_calls.clear()
+        backwards.clear()
+        immunize_batch(xs, prompts, model, cfgs, rows=rows)
+        assert forward_calls == per_pass * 2
+        assert backwards == [()] * len(per_pass) * 2
+
+
+# ---------------------------------------------------------------------------
+# timestep groups: several timesteps per model pass
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("method", list(METHOD_CONFIGS))
+def test_grouped_passes_match_one_timestep_per_pass(method):
+    model = micro_model()
+    xs, prompts, cfgs = lockstep_inputs(model, 3, method)
+    one = immunize_batch(xs, prompts, model, cfgs)
+    # groups of 2, of 3 (3/3/3/1) and of all 10 timesteps
+    for rows in (6, 9, 30):
+        for got, want in zip(immunize_batch(xs, prompts, model, cfgs, rows=rows), one):
+            assert_same_result(got, want)
+
+
+def test_grouped_passes_match_on_the_default_model():
+    """danp on the default model, 2 images in groups of 3/3/3/1 timesteps."""
+    model = DenoiserModel.init(ModelConfig(), seed=0, schedule=build_schedule(50))
+    model.set_trainable(False)
+    gen = np.random.default_rng(78)
+    xs = [grid_image(gen, size=32) for _ in range(2)]
+    prompts = [model.encode_prompt(IDS), model.encode_prompt((5, 9, 2, 0, 0, 0, 0, 0))]
+    cfgs = [AttackConfig(iterations=2, seed=60 + i) for i in range(2)]
+    assert len(resolve_timesteps(cfgs[0], model.schedule)) == 10
+    one = immunize_batch(xs, prompts, model, cfgs)
+    for got, want in zip(immunize_batch(xs, prompts, model, cfgs, rows=6), one):
+        assert_same_result(got, want)
+    assert not np.array_equal(one[0][0], xs[0])
+
+
+@pytest.mark.parametrize("method", ["danp", "wo-nba"])
+def test_grouped_passes_with_one_degenerate_image(monkeypatch, method):
+    """Image 1's mask is degenerate at every timestep; in groups of three
+    timesteps its rows share each pass with live rows, and every image's
+    result is still that of one timestep per pass."""
+    model = micro_model()
+    xs, prompts, cfgs = lockstep_inputs(model, 3, method)
+    results = []
+    for rows in (None, 9):
+        with monkeypatch.context() as patch:
+            degenerate_masks_at(patch, 1, 3)
+            results.append(immunize_batch(xs, prompts, model, cfgs, rows=rows))
+    one, grouped = results
+    assert one[1][1].degenerate_count == cfgs[1].iterations * 10
+    for got, want in zip(grouped, one):
+        assert_same_result(got, want)
+
+
+def test_grouped_pass_adds_no_gradient_for_a_timestep_without_loss(monkeypatch):
+    """wo-nba with every mask degenerate at one timestep: alone, that
+    timestep gives no loss and no gradient, and inside a group of all 10
+    timesteps it adds none either."""
+    model = micro_model()
+    xs, prompts, cfgs = lockstep_inputs(model, 2, "wo-nba")
+    dead = resolve_timesteps(cfgs[0], model.schedule)[3]
+    original = attack.make_mask
+
+    def patched(agg, bins, timestep=-1):
+        mask = original(agg, bins, timestep=timestep)
+        if timestep != dead:
+            return mask
+        return BinaryMask(mask=np.zeros_like(mask.mask), threshold_used=1.0,
+                          timestep=timestep, degenerate=True)
+
+    monkeypatch.setattr(attack, "make_mask", patched)
+    one = immunize_batch(xs, prompts, model, cfgs)
+    for got, want in zip(immunize_batch(xs, prompts, model, cfgs, rows=20), one):
+        assert_same_result(got, want)
+    assert all(state.degenerate_count == cfgs[0].iterations for _, state in one)
+
+
+def test_frozen_taped_pass_holds_little_per_row_after_forward(rng):
+    """The tape of a frozen default-model total_loss pass keeps only what
+    backward reads: at most 400 KiB per row once the forward returns."""
+    model = DenoiserModel.init(ModelConfig(), seed=0, schedule=build_schedule(50))
+    model.set_trainable(False)
+    prompt = model.encode_prompt(IDS)
+    bsz = 4
+    x0 = np.stack([grid_image(rng, size=32) for _ in range(bsz)])
+    eps = rng.standard_normal(x0.shape).astype(np.float32)
+
+    def taped_pass():
+        tape = Tape()
+        with tape:
+            delta = Tensor(np.full(x0.shape, 0.01, dtype=np.float32), requires_grad=True)
+            loss, _ = total_loss(x0, delta, model, [prompt] * bsz, 25, eps)
+        return tape, delta, loss
+
+    tape, _, loss = taped_pass()   # fills the model's caches
+    tape.backward(loss)
+    del tape, loss
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tape, delta, loss = taped_pass()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 400 * 1024 * bsz
+    assert tape.backward(loss)[delta].shape == x0.shape

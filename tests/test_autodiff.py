@@ -7,7 +7,7 @@ from imukit import autodiff as ad
 from imukit.autodiff import (
     GradientError, NonFiniteError, ShapeMismatchError, Tape, Tensor,
 )
-from oracles import REFERENCE_OPS, fd_agreement, numeric_grad
+from oracles import REFERENCE_OPS, fd_agreement, numeric_grad, silu, softmax, transpose
 
 RNG = np.random.default_rng(1234)
 
@@ -35,8 +35,8 @@ def check_fd(build, ref, x0, out_shape):
 
 
 @pytest.mark.parametrize("name,op", [
-    ("silu", ad.silu), ("square", ad.square),
-    ("softmax", lambda t: ad.softmax(t, axis=-1)),
+    ("silu", silu), ("square", ad.square),
+    ("softmax", lambda t: softmax(t, axis=-1)),
 ])
 def test_unary_fd(name, op):
     x = RNG.normal(size=(6, 5)).astype(np.float32)
@@ -138,10 +138,10 @@ def test_matmul_fd():
 
 def test_softmax_rows_sum_to_one():
     x = RNG.normal(size=(20, 8)).astype(np.float32) * 4.0
-    y = ad.softmax(Tensor(x), axis=-1).data
+    y = softmax(Tensor(x), axis=-1).data
     assert np.abs(y.sum(axis=-1) - 1.0).max() <= 1e-6
     assert (y > 0).all() and (y < 1).all()
-    assert np.allclose(ad.softmax(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
+    assert np.allclose(softmax(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
 
 
 def test_reduction_fd():
@@ -176,7 +176,7 @@ def test_l2_sq_distance_fd_and_example():
 def test_structural_fd():
     x = RNG.normal(size=(4, 6)).astype(np.float32)
     check_fd(lambda t: ad.reshape(t, (6, 4)), lambda xv: xv.reshape(6, 4), x, (6, 4))
-    check_fd(ad.transpose, lambda xv: xv.T, x, (6, 4))
+    check_fd(transpose, lambda xv: xv.T, x, (6, 4))
     other = RNG.normal(size=(2, 6)).astype(np.float32)
     check_fd(lambda t: ad.concat([t, Tensor(other)], axis=0),
              lambda xv: np.concatenate([xv, other.astype(np.float64)], axis=0),
@@ -281,8 +281,8 @@ def test_primitives_do_not_mutate_inputs():
     before_a, before_b = ta.data.copy(), tb.data.copy()
     ad.add(ta, tb)
     ad.mul(ta, tb)
-    ad.silu(ta)
-    ad.softmax(ta, axis=-1)
+    silu(ta)
+    softmax(ta, axis=-1)
     ad.avgpool2x(ta)
     ad.upsample2x(ta)
     ad.frobenius_sq(ta)
@@ -326,7 +326,7 @@ def _unfused_dense(x, w, b):
 
 
 def _unfused_dense_silu(x, w, b, temb):
-    return ad.silu(ad.add(_unfused_dense(x, w, b), temb))
+    return silu(ad.add(_unfused_dense(x, w, b), temb))
 
 
 def _fd_each_parent(op, ref, arrays, out_shape, extra=()):
@@ -431,7 +431,7 @@ def test_dense_silu_shape_errors():
 def test_dense_silu_without_temb_matches_unfused_chain():
     gen = np.random.default_rng(78)
     x, w, b, _ = _dense_silu_operands(gen, (64, 32, 32), 16, 16)
-    _assert_fused_is_chain(ad.dense_silu, lambda *a: ad.silu(_unfused_dense(*a)),
+    _assert_fused_is_chain(ad.dense_silu, lambda *a: silu(_unfused_dense(*a)),
                            (x, w, b), gen)
     xt = Tensor(x[:1])
     xt.data[0, 0, 0, 0] = np.nan
@@ -457,7 +457,7 @@ def _unfused_attention_probs(x, pm, wq, wk, scale):
     q = ad.matmul(ad.reshape(x, (bsz, -1, x.shape[-1])), wq)
     k2 = ad.matmul(ad.reshape(pm, (bsz * s, pm.shape[2])), wk)
     k = ad.reshape(k2, (bsz, s, k2.shape[-1]))
-    return ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), scale), axis=-1)
+    return softmax(ad.scale(ad.matmul(q, transpose(k, (0, 2, 1))), scale), axis=-1)
 
 
 def _unfused_attend(x, attn, pm, wv):
@@ -589,3 +589,98 @@ def test_fused_attention_shape_errors():
         ad.attend(x, attn, pm, Tensor(wv.data[:, :3]))
     with pytest.raises(ShapeMismatchError):
         ad.upsample_concat(Tensor(np.zeros((1, 2, 2, 3))), Tensor(np.zeros((1, 4, 5, 3))))
+
+
+# ---------------------------------------------------------------------------
+# what the tape keeps
+# ---------------------------------------------------------------------------
+
+def _kept(vjp):
+    """Every array a vjp closure keeps, through the closures it calls."""
+    arrays = []
+    for cell in vjp.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif callable(value) and getattr(value, "__closure__", None):
+            arrays.extend(_kept(value))
+    return arrays
+
+
+def _kept_shapes(tape, weights):
+    """Shapes of what the last node keeps, weights left out."""
+    return sorted(a.shape for a in _kept(tape.nodes[-1].vjp)
+                  if not any(a is w.data for w in weights))
+
+
+def test_frozen_ops_keep_only_what_the_input_gradient_reads():
+    gen = np.random.default_rng(93)
+    x, w, b, temb = (Tensor(a) for a in _dense_silu_operands(gen, (2, 4, 4), 3, 5))
+    x.requires_grad = True
+    with Tape() as tape:
+        ad.dense(x, w, b)
+        assert _kept_shapes(tape, (w, b)) == []
+        ad.dense_silu(x, w, b, temb)
+        assert _kept_shapes(tape, (w, b, temb)) == [(2, 4, 4, 5)]
+        xa, pm, wq, wk, _ = (Tensor(a) for a in _attention_operands(gen, (2, 4, 4), 3, 6, 5, 2))
+        xa.requires_grad = True
+        ad.attention_probs(xa, pm, wq, wk, 0.5)
+        # the probabilities and k^T; not the flattened input, q or pm
+        assert _kept_shapes(tape, (wq, wk)) == [(2, 2, 6), (2, 16, 6)]
+
+
+def test_tape_frees_an_output_once_the_forward_drops_it():
+    """Frozen weights: the tape holds a level's output for no vjp, so it
+    is freed as soon as the next level has consumed it."""
+    gen = np.random.default_rng(94)
+    x, w, b, _ = _dense_silu_operands(gen, (1, 4, 4), 6, 6)
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        h = ad.dense_silu(xt, Tensor(w), Tensor(b))
+        out = ad.dense_silu(h, Tensor(w), Tensor(b))
+        activation = weakref.ref(h.data)
+        del h
+        assert activation() is None
+        loss = ad.sum_(out)
+    assert tape.backward(loss)[xt].shape == x.shape
+
+
+def test_dense_silu_per_image_temb():
+    """A (B, 1, 1, N) temb adds one row per image: with equal rows it gives
+    the bits of the shared (N,) row, values and input gradient; its own
+    gradient is the per-image column sum."""
+    gen = np.random.default_rng(95)
+    x, w, b, temb = _dense_silu_operands(gen, (3, 4, 4), 5, 6)
+    rows = np.broadcast_to(temb, (3, 1, 1, 6)).copy()
+    gout = Tensor(gen.normal(size=(3, 4, 4, 6)))
+    results = []
+    for t in (temb, rows):
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = ad.dense_silu(xt, Tensor(w), Tensor(b), Tensor(t))
+            loss = ad.sum_(ad.mul(out, gout))
+        results.append((out.data, tape.backward(loss)[xt]))
+    for a, c in zip(*results):
+        assert np.array_equal(a, c)
+    per_image = (gen.normal(size=(3, 1, 1, 6)) * 0.5).astype(np.float32)
+
+    def ref(xv, wv, bv, tv):
+        return REFERENCE_OPS["silu"](xv @ wv + bv + tv)
+
+    _fd_each_parent(ad.dense_silu, ref, [x, w, b, per_image], (3, 4, 4, 6))
+    with pytest.raises(ShapeMismatchError):
+        ad.dense_silu(Tensor(x), Tensor(w), Tensor(b), Tensor(rows[:2]))
+
+
+def test_scale_by_one_factor_per_row():
+    gen = np.random.default_rng(96)
+    x = gen.normal(size=(3, 2, 4)).astype(np.float32)
+    factors = [0.3, 1.7, -2.5]
+    got = ad.scale(Tensor(x), factors).data
+    for i, s in enumerate(factors):
+        assert np.array_equal(got[i], ad.scale(Tensor(x[i]), s).data)
+    w = gen.normal(size=x.shape).astype(np.float32)
+    grad = analytic_grad(lambda t: ad.sum_(ad.mul(ad.scale(t, factors), Tensor(w))), x)
+    assert np.array_equal(grad, w * np.float32(factors)[:, None, None])
+    with pytest.raises(ShapeMismatchError):
+        ad.scale(Tensor(x), [1.0, 2.0])

@@ -544,17 +544,20 @@ def test_ablate_sweep_scores_each_image_in_one_defense_pass(tiny_run, forward_ca
     forward_calls.clear()
     _evaluate_rows(model, cfg, paths, items, list(ABLATION_METHODS))
     n_components = len(forward_calls)
-    # per bin count: one forward per attacked timestep for each lockstep
-    # chunk of the subset (ATTACK_ROWS images per chunk); per subset image:
-    # one defense pass under the original caption that edits the clean image
-    # and every bin count's image together, EDIT_ROWS rows per forward, and
-    # runs the percep features of each edit
+    # per bin count: for each lockstep chunk of the subset (ATTACK_ROWS
+    # images per chunk), one forward per group of ATTACK_ROWS // images
+    # attacked timesteps; per subset image: one defense pass under the
+    # original caption that edits the clean image and every bin count's image
+    # together, EDIT_ROWS rows per forward, and runs the percep features of
+    # each edit
     subset = range(min(cfg.ablate_images, len(items)))
     n_bins = len(cfg.ablate_bins)
-    attack = cfg.ablate_repeats * cfg.ablate_iterations * len(cfg.attack.timesteps)
-    chunks = -(-len(subset) // ATTACK_ROWS)
+    n_ts = len(cfg.attack.timesteps)
+    sizes = [len(subset[i:i + ATTACK_ROWS]) for i in range(0, len(subset), ATTACK_ROWS)]
+    passes = sum(-(-n_ts // max(1, ATTACK_ROWS // n)) for n in sizes)
+    attack = cfg.ablate_repeats * cfg.ablate_iterations * passes
     defense = cfg.t_edit * -(-(1 + n_bins) // EDIT_ROWS) + 1 + n_bins
-    assert n_ablate == n_components + chunks * n_bins * attack + len(subset) * defense
+    assert n_ablate == n_components + n_bins * attack + len(subset) * defense
 
     bins = read_json(paths.bins_json)
     before = read_json(run_paths(tiny_run).bins_json)
@@ -613,6 +616,24 @@ def test_report_contents(tiny_run):
     blob = read_json(paths.report_json)
     assert blob["config_hash"] == config_hash(tiny_run)
     assert blob["ablation_components"] is not None
+
+
+def test_duplicate_methods_are_rejected_before_any_stage_writes(tmp_path):
+    with pytest.raises(ConfigError, match="danp"):
+        tiny_experiment(tmp_path, methods=["none", "danp", "danp"])
+    cfg = tiny_experiment(tmp_path / "run")
+    cfg_path = tmp_path / "cfg.json"
+    cfg.save(cfg_path)
+    for command in ("immunize", "evaluate"):
+        assert main([command, "--config", str(cfg_path), "--methods", "danp,danp"]) == 2
+    for stage in (cmd_immunize, cmd_evaluate):
+        with pytest.raises(ConfigError):
+            stage(cfg, methods=["danp", "danp"])
+    listed = json.loads(cfg_path.read_text(encoding="utf-8"))
+    listed["methods"] = ["danp", "danp"]
+    cfg_path.write_text(json.dumps(listed), encoding="utf-8")
+    assert main(["gen-data", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_report_requires_evaluate(tmp_path):
@@ -821,23 +842,24 @@ def test_jobs_parallel_immunize_matches_serial(tmp_path):
 
 
 def test_immunize_chunks_split_at_the_row_cap(tiny_run, tmp_path, monkeypatch):
-    """With the lockstep cap at 2, each method's 3 images run as chunks of
-    2 and 1; every image's artifacts equal the tiny run's (one chunk of 3)
-    and its one-image immunize."""
+    """With the row cap at 2, each method's 3 images run as chunks of 2
+    (one timestep per pass) and 1 (two timesteps per pass); every image's
+    artifacts equal the tiny run's (one chunk of 3) and its one-image
+    immunize."""
     cfg = dataclasses.replace(tiny_run, out_dir=str(tmp_path))
     shutil.copytree(run_paths(tiny_run).root, run_paths(cfg).root)
     paths, ref = run_paths(cfg), run_paths(tiny_run)
     shutil.rmtree(paths.root / "immunize")
     chunks = []
 
-    def recording(x0s, prompts, model, cfgs):
-        chunks.append(len(x0s))
-        return immunize_batch(x0s, prompts, model, cfgs)
+    def recording(x0s, prompts, model, cfgs, rows):
+        chunks.append((len(x0s), rows))
+        return immunize_batch(x0s, prompts, model, cfgs, rows=rows)
 
     monkeypatch.setattr("imukit.harness.pipeline.ATTACK_ROWS", 2)
     monkeypatch.setattr("imukit.harness.pipeline.immunize_batch", recording)
     cmd_immunize(cfg, methods=["danp"])
-    assert chunks == [2, 1]
+    assert chunks == [(2, 2), (1, 2)]
     model = load_model(paths.model_bin)
     for idx, item in enumerate(load_split(paths, "test")):
         assert (paths.delta_file("danp", idx).read_bytes()

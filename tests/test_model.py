@@ -9,6 +9,7 @@ from imukit.diffusion import (
 from imukit.diffusion.model import N_POS_CHANNELS, bottleneck_features, positional_channels
 from imukit.diffusion.text import PAD_ID
 from oracle_forward import oracle_forward
+from oracles import silu, softmax, transpose
 
 
 PROMPT_IDS = (1, 17, 20, 4, 21, 0, 0, 0)
@@ -161,9 +162,9 @@ def _unfused_cross_attention(model, x4, pm, prefix, maps):
     v2 = ad.matmul(ad.reshape(pm, (bsz * s, pm.shape[2])), model.params[prefix + "_v"])
     k = ad.reshape(k2, (bsz, s, k2.shape[-1]))
     v = ad.reshape(v2, (bsz, s, v2.shape[-1]))
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))),
+    scores = ad.scale(ad.matmul(q, transpose(k, (0, 2, 1))),
                       1.0 / np.sqrt(model.config.d_k))
-    attn = ad.softmax(scores, axis=-1)
+    attn = softmax(scores, axis=-1)
     maps.append(ad.reshape(attn, (bsz, h, w, s)))
     out = ad.reshape(ad.matmul(attn, v), (bsz, h, w, c))
     return ad.add(x4, out)
@@ -183,7 +184,7 @@ def _unfused_forward(model, xb, t, pm, maps):
                           (xb.shape[0], size, size, N_POS_CHANNELS))
     x = ad.concat([xb, Tensor(pos)], axis=-1)
     h0 = model._level(x, t, "enc0")
-    h0 = ad.silu(_unfused_dense(model, h0, "enc0b_w", "enc0b_b"))
+    h0 = silu(_unfused_dense(model, h0, "enc0b_w", "enc0b_b"))
     h1 = model._level(ad.avgpool2x(h0), t, "enc1")
     h1 = _unfused_cross_attention(model, h1, pm, "attn1", maps)
     h2 = model._level(ad.avgpool2x(h1), t, "enc2")
@@ -311,3 +312,41 @@ def test_frozen_forward_rows_are_batch_invariant(frozen_default_model, bsz):
         eps1, grad1 = run(slice(i, i + 1))
         assert np.array_equal(eps[i], eps1[0])
         assert np.array_equal(grad[i], grad1[0])
+
+
+def test_per_row_timesteps_match_the_shared_and_single_row_forwards(frozen_default_model):
+    """A per-row timestep vector whose entries are all equal gives the bits
+    of the shared-timestep forward, maps and input gradient included, and
+    with distinct entries each row has the bits of its single-image forward
+    at its own timestep."""
+    model = frozen_default_model
+    gen = np.random.default_rng(92)
+    bsz = 3
+    xs = gen.random((bsz, 32, 32, 3)).astype(np.float32)
+    pms = np.stack([model.encode_prompt(ids).matrix.data
+                    for ids in gen.integers(1, 22, size=(bsz, 8))])
+    w = gen.normal(size=xs.shape).astype(np.float32)
+
+    def run(rows, t):
+        x = Tensor(xs[rows], requires_grad=True)
+        with Tape() as tape:
+            eps, rec = model.forward_batch(x, t, Tensor(pms[rows]), capture_attention=True)
+            loss = ad.sum_(ad.mul(eps, Tensor(w[rows])))
+        return [eps.data] + [m.data for m in rec.per_block] + [tape.backward(loss)[x]]
+
+    for a, b in zip(run(slice(None), [17] * bsz), run(slice(None), 17)):
+        assert np.array_equal(a, b)
+    ts = [3, 17, 41]
+    mixed = run(slice(None), ts)
+    for i, t in enumerate(ts):
+        for a, b in zip(mixed, run(slice(i, i + 1), t)):
+            assert np.array_equal(a[i], b[0])
+
+
+def test_per_row_timesteps_need_frozen_weights():
+    model = DenoiserModel.init(ModelConfig(image_size=8, widths=(4, 4, 4)), seed=1,
+                               schedule=build_schedule(20))
+    x = Tensor(np.zeros((2, 8, 8, 3), dtype=np.float32))
+    pm = Tensor(np.zeros((2, 8, 16), dtype=np.float32))
+    with pytest.raises(ValueError, match="frozen"):
+        model.forward_batch(x, [1, 2], pm)

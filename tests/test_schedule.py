@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imukit.autodiff import Tape, Tensor
+from imukit.autodiff import Tape, Tensor, sum_
 from imukit.diffusion import build_schedule, forward_diffuse
 
 
@@ -94,3 +94,26 @@ def test_forward_diffuse_differentiable_path(rng):
     assert np.array_equal(xt.data, xt_np)
     g = tape.backward(y)[x]
     assert np.allclose(g, np.sqrt(s.alpha_bar[5]), rtol=1e-6)
+
+
+def test_forward_diffuse_per_row_timesteps():
+    """One timestep per row gives each row the bits it gets at its timestep
+    alone, and each row's gradient is its own sqrt(abar_t)."""
+    s = build_schedule(50)
+    gen = np.random.default_rng(6)
+    x0 = gen.random((3, 4, 4, 3)).astype(np.float32)
+    eps = gen.standard_normal(x0.shape).astype(np.float32)
+    ts = [1, 25, 49]
+    x = Tensor(x0, requires_grad=True)
+    with Tape() as tape:
+        out = forward_diffuse(s, x, ts, eps)
+        y = sum_(out)
+    for i, t in enumerate(ts):
+        assert np.array_equal(out.data[i], forward_diffuse(s, Tensor(x0[i]), t, eps[i]).data)
+    g = tape.backward(y)[x]
+    for i, t in enumerate(ts):
+        assert np.all(g[i] == np.float32(np.sqrt(s.alpha_bar[t])))
+    with pytest.raises(ValueError):
+        forward_diffuse(s, Tensor(x0), [1, 50, 2], eps)
+    with pytest.raises(ValueError):
+        forward_diffuse(s, x0, ts, eps)
