@@ -27,6 +27,13 @@ forward code drops it. With frozen weights, dense and dense_silu keep no
 input and attention_probs keeps the probabilities and k^T only; a recorded
 dense_silu keeps one array, its derivative.
 
+Backward consumes its tape, so each vjp runs once and may drop what it
+keeps at its last read. The trainable dense and dense_silu vjp takes its
+weight gradient (with the bias and time-embedding column sums) first, drops
+the kept input, and only then allocates the input gradient, so the input
+and its gradient are never alive together (tools/step_memory.py shows the
+held memory and peak per backward node).
+
 Importing this module sets glibc's malloc policy for the whole process:
 freed blocks up to 32 MiB (glibc's 64-bit cap on M_MMAP_THRESHOLD) come
 from the heap instead of their own mappings, and the heap is trimmed only
@@ -210,7 +217,10 @@ class Tape(object):
 
     The tape keeps no output tensor, only keys and the arrays each vjp
     reads. backward consumes the tape: it leaves tape.nodes empty, and the
-    arrays only the tape held are freed as it goes.
+    arrays only the tape held are freed as it goes. So each vjp runs once,
+    and may drop a kept array at its last read: a weight gradient is taken
+    before the input gradient, so the input it reads is gone before the
+    input gradient is allocated.
 
     A tape and its tensors belong to a single thread; independent tapes may
     run concurrently.
@@ -518,7 +528,8 @@ def _affine(op, x, w, b, temb):
 def _affine_vjp(x, w, b, temb):
     """The vjp(gy, needs) of _affine, where gy is the gradient of its result
     shaped like x with the last axis mapped through w. It keeps w's data
-    for x's gradient and x's data for w's, and nothing else."""
+    for x's gradient and x's data for w's, and nothing else; it drops x's
+    data once w's gradient is taken, before x's gradient is allocated."""
     need_x, need_w = _needs(x, w)
     xshape, wshape, bshape = x.data.shape, w.data.shape, b.data.shape
     trainable = w.requires_grad
@@ -527,16 +538,18 @@ def _affine_vjp(x, w, b, temb):
     tshape = None if temb is None else temb.data.shape
 
     def vjp(gy, needs):
-        gx = (_rows_matmul(gy, wd.T, trainable, _GRAD_ROWS).reshape(xshape)
-              if needs[0] else None)
-        gy = gy.reshape(-1, wshape[1])
-        gw = np.matmul(xd.reshape(-1, wshape[0]).T, gy) if needs[1] else None
+        nonlocal xd
+        rows = gy.reshape(-1, wshape[1])
+        gw = np.matmul(xd.reshape(-1, wshape[0]).T, rows) if needs[1] else None
+        xd = None   # backward runs a vjp once
         # b and a shared temb are both added to every row, so they share one
         # column sum; a per-image temb takes one column sum per image
-        col = gt = _unbroadcast(gy, bshape) if any(needs[2:]) else None
+        col = gt = _unbroadcast(rows, bshape) if any(needs[2:]) else None
         if tshape not in (None, bshape) and needs[3]:
-            gt = gy.reshape(tshape[0], -1, wshape[1]).sum(axis=1, dtype=_F32)
+            gt = rows.reshape(tshape[0], -1, wshape[1]).sum(axis=1, dtype=_F32)
             gt = gt.reshape(tshape)
+        gx = (_rows_matmul(gy, wd.T, trainable, _GRAD_ROWS).reshape(xshape)
+              if needs[0] else None)
         return (gx, gw) + tuple(c if n else None for n, c in zip(needs[2:], (col, gt)))
 
     return vjp

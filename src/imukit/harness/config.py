@@ -100,6 +100,10 @@ class ExperimentConfig:
             raise ConfigError("jobs must be >= 1")
         if self.ablate_images < 1 or self.ablate_repeats < 1:
             raise ConfigError("ablate_images and ablate_repeats must be >= 1")
+        # zero is valid: no ablation attack steps, no heat maps
+        for name in ("ablate_iterations", "heatmap_images"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if len(set(self.ablate_bins)) != len(self.ablate_bins) or any(
                 b < 2 for b in self.ablate_bins):
             raise ConfigError(

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from imukit.attention_mask import AggregatedAttention, BinaryMask
 from imukit.autodiff import Tape, Tensor
 from imukit.diffusion import DenoiserModel, ModelConfig, build_schedule, predict_noise
 from imukit.diffusion.schedule import forward_diffuse
+from imukit.diffusion.training import _mc_loss
 from oracle_forward import oracle_total_loss
 from oracles import fd_agreement, numeric_grad
 
@@ -618,3 +621,52 @@ def test_frozen_taped_pass_holds_little_per_row_after_forward(rng):
         tracemalloc.stop()
     assert held <= 400 * 1024 * bsz
     assert tape.backward(loss)[delta].shape == x0.shape
+
+
+def test_trainable_step_backward_peaks_little_above_its_tape():
+    """A trainable default-model step's vjps drop each kept input once its
+    weight gradient is taken, before the input gradient is allocated, so the
+    backward peaks at most 64 KiB per row above what the tape holds after
+    the forward."""
+    # its own generator: the session's rng stream feeds later tests
+    rng = np.random.default_rng(97)
+    model = DenoiserModel.init(ModelConfig(), seed=0, schedule=build_schedule(50))
+    bsz = 16
+    xs = np.stack([grid_image(rng, size=32) for _ in range(bsz)])
+    ids = np.tile(np.asarray(IDS), (bsz, 1))
+    eps = rng.standard_normal(xs.shape).astype(np.float32)
+
+    def taped_step():
+        with Tape() as tape:
+            loss = _mc_loss(model, xs, ids, 25, eps)
+        return tape, loss
+
+    tape, loss = taped_step()
+    tape.backward(loss)
+    del tape, loss
+    tracemalloc.start()
+    try:
+        tape, loss = taped_step()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 64 * 1024 * bsz
+    assert len(grads) == len(model.params)
+
+
+def test_step_memory_tool_lists_every_backward_node():
+    """tools/step_memory.py profiles a training step and an attack pass with
+    one row per backward node, in the order the sweep runs them."""
+    spec = importlib.util.spec_from_file_location(
+        "step_memory", Path(__file__).resolve().parents[1] / "tools" / "step_memory.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for run, rows, nodes, first in ((tool.train_step, 2, 24, "mean"),
+                                    (tool.frozen_pass, 1, 35, "sum")):
+        held, fwd_peak, probed = run(rows, 0)
+        assert 0 < held <= fwd_peak
+        assert len(probed) == nodes and probed[0][0] == first
+        assert all(after <= peak for _, after, peak in probed)

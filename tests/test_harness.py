@@ -636,6 +636,21 @@ def test_duplicate_methods_are_rejected_before_any_stage_writes(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key", ["ablate_iterations", "heatmap_images"])
+def test_negative_ablate_iterations_and_heatmap_images_are_rejected_at_load(tmp_path, key):
+    """Before: a negative ablate_iterations passed three stages and failed in
+    ablate with a traceback; negative heatmap_images wrote no heat maps."""
+    with pytest.raises(ConfigError, match=key):
+        tiny_experiment(tmp_path, **{key: -1})
+    assert getattr(tiny_experiment(tmp_path, **{key: 0}), key) == 0
+    d = tiny_experiment(tmp_path / "runs").to_dict()
+    d[key] = -2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(d))
+    assert main(["gen-data", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
 def test_report_requires_evaluate(tmp_path):
     cfg = tiny_experiment(tmp_path)
     cmd_gen_data(cfg)
