@@ -14,9 +14,7 @@ the images of a batch runs one gemm per image, at the single-image shape.
 OpenBLAS picks its gemm kernel by row count, so one gemm over all images'
 rows can give a row other bits than the same image alone (dec1's K=56
 contraction does from B=3 on); per image, a row's bits do not depend on the
-rows that share its batch. Their input gradients run in gemms of at most 512
-rows of one image, with the same bits (see _GRAD_ROWS). Trainable weights
-keep one gemm over the batch.
+rows that share its batch. Trainable weights keep one gemm over the batch.
 
 The tape holds gradient keys, not tensors. A recorded op's output gets a
 key; its node holds that key, its parents' keys (a reshape view maps to its
@@ -43,6 +41,14 @@ those pages go back to the OS (unmapped or trimmed) and the next step
 zero-fills them anew, about 14,000 page faults per B=64 step of the default
 model. The policy changes no value. Where the C library has no mallopt
 (anything but glibc) or rejects a setting, it does nothing.
+
+Importing it also sets the process's BLAS policy: every OpenBLAS mapped
+into the process runs on one thread, so --jobs N workers run N BLAS threads.
+A second thread buys this package's gemms little speed (B=64 training on a
+2-vCPU Xeon: a median 1212 samples/s at two threads and 1121 at one, inside
+the run-to-run spread) while its buffers add about 12 MiB to training's
+peak RSS. The thread count changes no value. Where no OpenBLAS is mapped or
+none of its set-threads symbols is found, it does nothing.
 """
 
 from __future__ import annotations
@@ -69,13 +75,6 @@ _F64 = np.float64
 # block buffers stay small where full-size ones would add to a pass's peak
 _BLOCK_ROWS = 2048
 
-# Rows per gemm of a frozen weight's input gradient. OpenBLAS (0.3.31,
-# SkylakeX, 2 threads) runs dec0's per-image (1024, 16) x (16, 40)^T product
-# on both threads, and on a 2-vCPU host the second thread at times takes
-# milliseconds to join: 0.5-1.7 ms per call on average over 500 calls, where
-# 512-row gemms take about 18 us. Runs of 512 rows give the same bits.
-_GRAD_ROWS = 512
-
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
@@ -92,7 +91,31 @@ def _keep_freed_pages():
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
+def _one_blas_thread():
+    """Run every OpenBLAS mapped into this process on one thread."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = {line.split()[-1] for line in f if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # the set-threads symbols of numpy's bundled build, then of others
+        for symbol in ("scipy_openblas_set_num_threads64_",
+                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = (ctypes.c_int,)
+                fn.restype = None
+                fn(1)
+                break
+
+
 _keep_freed_pages()
+_one_blas_thread()
 
 
 class ShapeMismatchError(ValueError):
@@ -477,17 +500,13 @@ def matmul(a, b):
     return _finish("matmul", out, (a, b), vjp)
 
 
-def _rows_matmul(a, w, trainable, block=None):
+def _rows_matmul(a, w, trainable):
     """(rows, N) product of a's rows, flattened over its leading axes, with w.
 
     a's first axis counts images; with frozen weights (not trainable) each
-    image gets its own gemm at the single-image shape (see the module note),
-    or with block, one gemm per run of gcd(block, rows per image) rows.
+    image gets its own gemm at the single-image shape (see the module note).
     """
     k = a.shape[-1]
-    if not trainable and block and a.ndim > 2:
-        rows = math.gcd(block, math.prod(a.shape[1:-1]))
-        return np.matmul(a.reshape(-1, rows, k), w).reshape(-1, w.shape[1])
     if not trainable and a.ndim > 2 and a.shape[0] > 1:
         return np.matmul(a.reshape(a.shape[0], -1, k), w).reshape(-1, w.shape[1])
     return np.matmul(a.reshape(-1, k), w)
@@ -548,7 +567,7 @@ def _affine_vjp(x, w, b, temb):
         if tshape not in (None, bshape) and needs[3]:
             gt = rows.reshape(tshape[0], -1, wshape[1]).sum(axis=1, dtype=_F32)
             gt = gt.reshape(tshape)
-        gx = (_rows_matmul(gy, wd.T, trainable, _GRAD_ROWS).reshape(xshape)
+        gx = (_rows_matmul(gy, wd.T, trainable).reshape(xshape)
               if needs[0] else None)
         return (gx, gw) + tuple(c if n else None for n, c in zip(needs[2:], (col, gt)))
 

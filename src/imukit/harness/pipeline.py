@@ -10,7 +10,6 @@ in isolation and the whole pipeline byte-deterministic.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from imukit.harness.config import (
 )
 from imukit.harness.tables import METRIC_NAMES, aggregate_rows, write_csv, write_results
 from imukit.metrics import full_report
-from imukit.ppm import read_ppm, write_ppm
+from imukit.ppm import ArtifactError, read_ppm, write_ppm
 
 # The stages attack through immunize_batch; immunize stays bound and exported
 # because the benchmark's traced run wraps the attack under this module's
@@ -45,11 +44,12 @@ __all__ = ["immunize"]
 # Taped rows per model pass of the attack. A lockstep chunk holds at most
 # this many images, and a chunk of B images attacks max(1, ATTACK_ROWS // B)
 # timesteps per pass. tools/attack_rows.py (danp, 6 images x 10 iterations,
-# default model, medians of 3 fresh processes; 2-vCPU Xeon):
+# default model, medians of 3 fresh processes; 2-vCPU Xeon, one BLAS
+# thread; caps above 6 run 6 rows, as a chunk holds at most 6 images here):
 #
-#   rows          2     3     4     6     8
-#   peak MiB   42.6  43.2  43.8  45.0  45.0
-#   ms/img-it  14.2  11.0  10.0   8.7  10.5
+#   rows          2     3     4     6     8    10
+#   peak MiB   41.1  41.7  42.5  43.4  43.6  43.4
+#   ms/img-it  11.9   9.9   9.0   7.9   8.1   7.9
 #
 # 4 keeps the benchmark's 2-image stage (perfbench immunize) within 1% of
 # the peak it had with one timestep per pass; 6 rows add about 3% there.
@@ -387,6 +387,10 @@ def _run_tasks(fn, model, cfg, paths, items, tasks):
     """
     if cfg.jobs == 1:
         return [fn(model, cfg, paths, items, *task) for task in tasks]
+    # imported here: the pool's modules (multiprocessing, socket, logging)
+    # cost every other process about 1.5 MiB and 10 ms of import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_pool_init,
                              initargs=(cfg.to_dict(),)) as pool:
         return list(pool.map(_pool_task, [(fn, task) for task in tasks], chunksize=1))
@@ -473,11 +477,25 @@ def _defense_pass(model, cfg, idx, x0, images, prompts, features):
             for (pidx, _), outs in zip(prompts, edits)}
 
 
+def _read_immunized(paths, method, item, idx):
+    """The immunized image of test item idx; an image of another shape than
+    the item's raises ArtifactError naming the file."""
+    path = paths.immunized_image(method, idx)
+    x = read_ppm(path)
+    if x.shape != item.image.shape:
+        raise ArtifactError(f"{path}: image shape {x.shape} does not match "
+                            f"the test image's {item.image.shape}")
+    return x
+
+
 def _item_rows(model, cfg, paths, items, idx, methods):
-    """Defense + imperceptibility rows of test item idx, prompt-major."""
+    """Defense + imperceptibility rows of test item idx, prompt-major.
+
+    Every method's image is read and checked before any metric or edit runs.
+    """
     item = items[idx]
     features = {}
-    images = {method: read_ppm(paths.immunized_image(method, idx)) for method in methods}
+    images = {method: _read_immunized(paths, method, item, idx) for method in methods}
     imperc = {method: full_report(item.image, x_imu, model, features)
               for method, x_imu in images.items()}
     prompts = _prompts_for(cfg, item)
@@ -517,9 +535,10 @@ def _write_heatmaps(model, cfg, paths, items, methods):
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _ROLE_HEATMAP, idx]))
         eps = rng.standard_normal(item.image.shape).astype(np.float32)
-        for label, method in variants:
-            x = item.image if method is None else read_ppm(
-                paths.immunized_image(method, idx))
+        images = [(label, item.image if method is None
+                   else _read_immunized(paths, method, item, idx))
+                  for label, method in variants]
+        for label, x in images:
             x_t = forward_diffuse(model.schedule, x, t_h, eps)
             _, rec = predict_noise(model, x_t, t_h, prompt, capture_attention=True)
             agg = aggregate(rec, prompt)

@@ -32,7 +32,11 @@ def record_of(*maps):
 
 
 def random_histograms(rng, L, n):
-    """Mixed family: dense dirichlet-like, sparse, and spiky histograms."""
+    """Mixed family: dense dirichlet-like, sparse, and spiky histograms.
+
+    Each has at least 2 nonzero bins, which kapur_threshold requires (a
+    single-bin histogram is test_single_bin_degenerate_raises's case).
+    """
     out = []
     for k in range(n):
         kind = k % 3
@@ -40,14 +44,20 @@ def random_histograms(rng, L, n):
             h = rng.random(L)
         elif kind == 1:
             h = rng.random(L) * (rng.random(L) < 0.25)
-            if h.sum() == 0:
-                h[int(rng.integers(0, L))] = 1.0
+            if np.count_nonzero(h) < 2:
+                h[rng.choice(L, size=2, replace=False)] = rng.random(2) + 0.1
         else:
             h = np.zeros(L)
-            spikes = rng.integers(0, L, size=4)
+            spikes = rng.choice(L, size=4, replace=False)
             h[spikes] = rng.random(4) + 0.1
         out.append(h / h.sum())
     return np.asarray(out)
+
+
+def test_random_histograms_keep_two_nonzero_bins():
+    for seed in range(1000):
+        hists = random_histograms(np.random.default_rng(seed), 32, 30)
+        assert np.count_nonzero(hists, axis=1).min() >= 2, seed
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ctypes
 import weakref
 
 import numpy as np
@@ -684,3 +685,21 @@ def test_scale_by_one_factor_per_row():
     assert np.array_equal(grad, w * np.float32(factors)[:, None, None])
     with pytest.raises(ShapeMismatchError):
         ad.scale(Tensor(x), [1.0, 2.0])
+
+
+def test_import_runs_openblas_on_one_thread():
+    """The BLAS policy: after import, numpy's OpenBLAS reports one thread."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line})
+    except OSError:
+        pytest.skip("no /proc/self/maps to find the loaded OpenBLAS in")
+    getters = [getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+               for path in libs]
+    getters = [fn for fn in getters if fn is not None]
+    if not getters:
+        pytest.skip("no OpenBLAS with scipy_openblas_get_num_threads64_ is loaded")
+    for fn in getters:
+        fn.restype = ctypes.c_int
+        fn.argtypes = []
+        assert fn() == 1

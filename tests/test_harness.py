@@ -1,7 +1,11 @@
 import dataclasses
 import importlib.util
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -737,6 +741,35 @@ def test_cli_edit_command(tmp_path, tiny_run):
     assert rc == 3  # missing input image
 
 
+@pytest.mark.parametrize("method", ["random-noise", "danp"])
+def test_cli_evaluate_rejects_an_immunized_image_of_another_size(
+        tiny_run, tmp_path, capsys, forward_calls, method):
+    """An immunized PPM whose size differs from its test image's is a corrupt
+    artifact (exit 3, naming the file), caught before any edit or metric."""
+    cfg = dataclasses.replace(tiny_run, out_dir=str(tmp_path))
+    shutil.copytree(run_paths(tiny_run).root, run_paths(cfg).root)
+    path = run_paths(cfg).immunized_image(method, 0)
+    write_ppm(path, np.zeros((8, 8, 3), dtype=np.float32))
+    cfg_path = tmp_path / "cfg.json"
+    cfg.save(cfg_path)
+    assert main(["evaluate", "--config", str(cfg_path)]) == 3
+    assert str(path) in capsys.readouterr().err
+    assert forward_calls == []
+
+
+def test_heatmaps_reject_a_danp_image_of_another_size(tiny_run, tmp_path,
+                                                      forward_calls):
+    cfg = dataclasses.replace(tiny_run, out_dir=str(tmp_path))
+    paths = run_paths(cfg)
+    shutil.copytree(run_paths(tiny_run).root, paths.root)
+    path = paths.immunized_image("danp", 0)
+    write_ppm(path, np.zeros((8, 8, 3), dtype=np.float32))
+    model = load_model(paths.model_bin)
+    with pytest.raises(ArtifactError, match=re.escape(str(path))):
+        _write_heatmaps(model, cfg, paths, load_split(paths, "test"), ("danp",))
+    assert forward_calls == []
+
+
 def test_cli_corrupt_model_header_exits_3_naming_it(tiny_run, tmp_path, capsys):
     """A model.bin whose header config the model rejects is a corrupt
     artifact, not a config error."""
@@ -825,6 +858,18 @@ def test_cli_overrides_seed_out_and_jobs(tmp_path):
     assert config_hash(cfg) == config_hash(ExperimentConfig(seed=7))
     assert cfg.out_dir == str(tmp_path)
     assert cfg.jobs == 2
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only --jobs > 1 needs the worker pool, so a fresh CLI process does not
+    import concurrent.futures (nor multiprocessing, socket and logging)."""
+    src = str(Path(cli.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, imukit.harness.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def timeless_report(paths, method, idx):
