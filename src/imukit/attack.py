@@ -10,7 +10,8 @@ step, then projected to the L-inf budget and to valid image range. Images
 attacked with one config (up to the seed) step in lockstep, and an
 iteration's timesteps run in groups: one model pass and one backward serve
 every image at every timestep of a group, without changing a bit of any
-image's result.
+image's result. The loss terms take batches only, with a sequence of B
+prompts and of B masks, and one image is a batch of one.
 """
 
 from __future__ import annotations
@@ -78,75 +79,66 @@ def resolve_timesteps(cfg, schedule):
     return ts
 
 
-def _mask_weights(agg, mask):
+def _mask_weights(agg, masks):
     """Constant (inside, outside) weights shaped like agg.pre_norm: M and 1 - M.
 
-    One (H, W) map takes one BinaryMask, a (B, H, W) batch a list of B. An
-    image whose map or mask is degenerate gets zero weights inside and out,
-    so its attention term and that term's gradient are exactly 0.
+    A (B, H, W) batch takes a sequence of B BinaryMasks. An image whose map
+    or mask is degenerate gets zero weights inside and out, so its attention
+    term and that term's gradient are exactly 0.
     """
     att = agg.pre_norm
-    masks = mask if att.ndim == 3 else [mask]
     m = np.stack([mk.mask for mk in masks])
-    if m.shape[1:] != att.shape[-2:]:
+    if m.shape != att.shape:
         raise ad.ShapeMismatchError("daa_loss", att.shape, m.shape)
-    live = ~(np.atleast_1d(agg.degenerate) | [mk.degenerate for mk in masks])
+    live = ~(agg.degenerate | [mk.degenerate for mk in masks])
     live = live.astype(np.uint8)[:, None, None]
-    return (Tensor((m * live).astype(np.float32).reshape(att.shape)),
-            Tensor(((1 - m) * live).astype(np.float32).reshape(att.shape)))
+    return (Tensor((m * live).astype(np.float32)),
+            Tensor(((1 - m) * live).astype(np.float32)))
 
 
-def daa_loss(agg, mask, lambda_daa):
+def daa_loss(agg, masks, lambda_daa):
     """||Att * M||_F^2 - lambda * ||Att * (1 - M)||_F^2 with M held constant.
 
     Att is the raw block-averaged attention; normalization enters only the
     mask construction. Suppresses attention under the mask while amplifying
-    it everywhere else. A (B, H, W) batch with a list of B masks gives the
-    (B,) losses of its images; a degenerate image's loss is 0.
+    it everywhere else. A (B, H, W) batch with a sequence of B masks gives
+    the (B,) losses of its images; a degenerate image's loss is 0.
     """
     att = agg.pre_norm
-    inside, outside = _mask_weights(agg, mask)
-    per_image = att.ndim == 3
-    return ad.sub(ad.frobenius_sq(ad.mul(att, inside), per_image),
-                  ad.scale(ad.frobenius_sq(ad.mul(att, outside), per_image), lambda_daa))
+    inside, outside = _mask_weights(agg, masks)
+    return ad.sub(ad.frobenius_sq(ad.mul(att, inside)),
+                  ad.scale(ad.frobenius_sq(ad.mul(att, outside)), lambda_daa))
 
 
-def nba_loss(eps, eps_imu, per_image=False):
-    """Negated squared L2 distance between the injected and the predicted
-    noise; with per_image, one distance per index of the first axis."""
-    return ad.scale(ad.l2_sq_distance(eps, eps_imu, per_image), -1.0)
+def nba_loss(eps, eps_imu):
+    """Negated squared L2 distances between the injected and the predicted
+    noise, one per index of the first axis."""
+    return ad.scale(ad.l2_sq_distance(eps, eps_imu), -1.0)
 
 
-def total_loss(x0, delta, model, prompt, t, eps, cfg=AttackConfig(),
+def total_loss(x0, delta, model, prompts, t, eps, cfg=AttackConfig(),
                mask_override=None):
     """Combined attack objective at one timestep, from one model pass.
 
-    x0, delta and eps are one (H, W, C) image, or a (B, H, W, C) batch with
-    a sequence of B prompts (and of B masks in mask_override); t is one
-    timestep, or for a batch a sequence of B, one per image. Each image is
-    noised with its eps; its noise term is the negated mean squared error of
-    the model's prediction of that eps (AdvDM's denoising loss). Each mask
-    is recomputed from the same pass and frozen (stop-gradient) for this
-    step; mask_override substitutes precomputed constant masks.
+    x0, delta and eps are a (B, H, W, C) batch with a sequence of B prompts
+    (and of B masks in mask_override); t is one timestep shared by every
+    image, or a sequence of B, one per image. Each image is noised with its
+    eps; its noise term is the negated mean squared error of the model's
+    prediction of that eps (AdvDM's denoising loss). Each mask is recomputed
+    from the same pass and frozen (stop-gradient) for this step;
+    mask_override substitutes precomputed constant masks.
 
     Returns (loss Tensor or None, components). The loss is the sum of the
     images' objectives, so each image's terms get the gradient they get
     alone; it is None when every term is disabled or degenerate. The
-    components are one dict per image: a dict for one image, a list of B
-    dicts for a batch.
+    components are a list of B dicts, one per image.
     """
     x0 = np.asarray(x0, dtype=np.float32)
-    one = x0.ndim == 3
-    if one:
-        x0, eps = x0[None], np.asarray(eps)[None]
-        delta = ad.reshape(delta, (1,) + delta.shape)
-        prompt = [prompt]
-        mask_override = None if mask_override is None else [mask_override]
     eps_t = Tensor(np.asarray(eps, dtype=np.float32))
     size = x0[0].size
 
     x_t_imu = forward_diffuse(model.schedule, ad.add(Tensor(x0), delta), t, eps_t)
-    pm = Tensor(np.stack([p.matrix.data for p in prompt]))
+    pm = Tensor(np.stack([p.matrix.data for p in prompts]))
     eps_imu, record = model.forward_batch(x_t_imu, t, pm,
                                           capture_attention=cfg.daa_mode != "off")
 
@@ -155,7 +147,7 @@ def total_loss(x0, delta, model, prompt, t, eps, cfg=AttackConfig(),
              for _ in range(len(x0))]
 
     if cfg.daa_mode != "off":
-        agg = aggregate(record, prompt)
+        agg = aggregate(record, prompts)
         masks = mask_override
         if masks is None:
             masks = [make_mask(a, cfg.bins, timestep=ti) if cfg.daa_mode == "dual"
@@ -171,13 +163,13 @@ def total_loss(x0, delta, model, prompt, t, eps, cfg=AttackConfig(),
             else:
                 # suppression-only baseline on the un-normalized map
                 inside, _ = _mask_weights(agg, masks)
-                term = ad.frobenius_sq(ad.mul(agg.pre_norm, inside), per_image=True)
+                term = ad.frobenius_sq(ad.mul(agg.pre_norm, inside))
             terms.append(term)
             for c, value in zip(comps, term.data):
                 c["daa"] = float(value)
 
     if cfg.lambda_nba != 0.0:
-        raw = nba_loss(eps_t, eps_imu, per_image=True)
+        raw = nba_loss(eps_t, eps_imu)
         terms.append(ad.scale(raw, cfg.lambda_nba / size))
         for c, value in zip(comps, raw.data):
             c["nba"] = float(value) / size
@@ -190,7 +182,7 @@ def total_loss(x0, delta, model, prompt, t, eps, cfg=AttackConfig(),
         for extra in terms[1:]:
             loss = ad.add(loss, extra)
         loss = ad.sum_(loss)
-    return loss, comps[0] if one else comps
+    return loss, comps
 
 
 def _project(delta, x0, gamma):

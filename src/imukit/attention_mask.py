@@ -5,6 +5,8 @@ block to the largest block resolution, average across blocks (all
 differentiable), min-max normalize to [0, 1], then histogram the normalized
 map and threshold it where the summed foreground/background Shannon
 entropies peak. The mask itself is always treated as a constant downstream.
+aggregate takes batches only, and one image is a batch of one; the mask
+builders read the per-image views that AggregatedAttention.images() gives.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ class AggregatedAttention:
 
     map is min-max normalized to [0, 1] (all zeros when degenerate);
     pre_norm keeps the un-normalized block average for fixed-threshold
-    baselines and debugging. One image's maps are (H, W) with a bool flag;
-    a batch's are (B, H, W) with a (B,) bool array of flags.
+    baselines and debugging. aggregate's maps are (B, H, W) with a (B,) bool
+    array of flags; images() gives each image's (H, W) maps with one flag.
     """
 
     map: Tensor
@@ -79,14 +81,13 @@ class BinaryMask:
         return int(self.mask.sum())
 
 
-def aggregate(record, prompt):
+def aggregate(record, prompts):
     """Aggregate captured maps into one normalized attention map per image.
 
     Per block: mean over the prompt's content tokens, nearest-upsample to the
     largest block resolution; then mean over blocks and min-max normalize.
     A record of (B, H_i, W_i, S) maps takes a sequence of B prompts, one per
-    image, and gives (B, H, W) maps; a one-image record of (H_i, W_i, S) maps
-    takes one prompt and gives (H, W) maps. Each image's content-token mean
+    image, and gives (B, H, W) maps. Each image's content-token mean
     is its own product in a stacked matmul with a (B, S, 1) selector, and
     every later step acts per pixel or per image, so an image's maps have
     the bits they have alone. The block average (pre_norm) is
@@ -94,13 +95,9 @@ def aggregate(record, prompt):
     reads it. A constant block average yields an all-zero map with the
     degenerate flag set instead of dividing by zero.
     """
-    if not record.per_block:
+    blocks = record.per_block
+    if not blocks:
         raise ValueError("aggregate: attention record is empty")
-    blocks, prompts = record.per_block, prompt
-    one = blocks[0].ndim == 3
-    if one:
-        blocks = [ad.reshape(maps, (1,) + maps.shape) for maps in blocks]
-        prompts = [prompt]
     bsz, s = blocks[0].shape[0], blocks[0].shape[-1]
     if len(prompts) != bsz:
         raise ValueError(f"aggregate: {len(prompts)} prompts for {bsz} images")
@@ -131,12 +128,8 @@ def aggregate(record, prompt):
     flat_map = hi <= lo
     norm = (pre.data - lo) / np.where(flat_map, np.float32(1.0), hi - lo)
     norm[np.broadcast_to(flat_map, norm.shape)] = 0.0
-    degenerate = flat_map.reshape(bsz)
-    if one:
-        return AggregatedAttention(map=Tensor(norm[0]),
-                                   pre_norm=ad.reshape(pre, (target, target)),
-                                   degenerate=bool(degenerate[0]))
-    return AggregatedAttention(map=Tensor(norm), pre_norm=pre, degenerate=degenerate)
+    return AggregatedAttention(map=Tensor(norm), pre_norm=pre,
+                               degenerate=flat_map.reshape(bsz))
 
 
 # Far above the gap between cumulative and slice sums (~L * 1e-16 per term)

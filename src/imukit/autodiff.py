@@ -7,7 +7,9 @@ depths in this package are tens, where the accumulation error sits orders of
 magnitude below the gradient-check tolerances. Broadcasting is restricted to
 suffix expansion (the smaller operand's shape must equal the trailing dims of
 the larger one), so every gradient rule stays a plain sum over leading axes.
-Primitives never mutate their inputs and raise on non-finite outputs.
+Primitives never mutate their inputs and raise on non-finite outputs. The
+squared norms and distances are batch-only, one value per index of the
+first axis, and one image is a batch of one.
 
 A product of frozen weights (requires_grad False) with rows flattened across
 the images of a batch runs one gemm per image, at the single-image shape.
@@ -179,7 +181,7 @@ class Tensor:
         return self.data.size
 
     def item(self):
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -802,23 +804,22 @@ def mean_(x, axis=None):
     def vjp(g, needs):
         if not needs[0]:
             return (None,)
-        gs = g / _F32(count)
-        if axis is None:
-            return (np.broadcast_to(gs, shape).astype(_F32),)
-        ge = np.expand_dims(gs, axis)
-        return (np.broadcast_to(ge, shape).astype(_F32),)
+        # a read-only broadcast view: no vjp writes into its incoming g
+        gs = (g / _F32(count)).astype(_F32)
+        if axis is not None:
+            gs = np.expand_dims(gs, axis)
+        return (np.broadcast_to(gs, shape),)
 
     return _finish("mean", out, (x,), vjp)
 
 
-def _sum64(sq, per_image):
-    """float64 sum of sq: one scalar, or one sum per index of its first axis.
+def _sum64(sq):
+    """float64 sums of sq, one per index of its first axis, cast to float32.
 
     Each image's sum runs over its own contiguous entries, so it has the
     bits of the whole-array sum of that image alone.
     """
-    out = sq.reshape(sq.shape[0], -1).sum(axis=1) if per_image else sq.sum()
-    return out.astype(_F32)
+    return sq.reshape(sq.shape[0], -1).sum(axis=1).astype(_F32)
 
 
 def _per_image(g, ndim):
@@ -826,11 +827,11 @@ def _per_image(g, ndim):
     return g.reshape(g.shape + (1,) * (ndim - g.ndim))
 
 
-def frobenius_sq(x, per_image=False):
-    """Sum of squared entries: a scalar, or with per_image a (B,) vector of
-    the sums over each index of x's first axis."""
+def frobenius_sq(x):
+    """Sums of squared entries: a (B,) vector, one sum per index of x's
+    first axis."""
     xd = x.data
-    out = _sum64(xd.astype(_F64) ** 2, per_image)
+    out = _sum64(xd.astype(_F64) ** 2)
     kept = xd if x.requires_grad else None
 
     def vjp(g, needs):
@@ -839,13 +840,13 @@ def frobenius_sq(x, per_image=False):
     return _finish("frobenius_sq", out, (x,), vjp)
 
 
-def l2_sq_distance(a, b, per_image=False):
-    """Squared L2 distance between two same-shape tensors: a scalar, or with
-    per_image a (B,) vector of the distances over each index of the first axis."""
+def l2_sq_distance(a, b):
+    """Squared L2 distances between two same-shape tensors: a (B,) vector,
+    one distance per index of the first axis."""
     if a.shape != b.shape:
         raise ShapeMismatchError("l2_sq_distance", a.shape, b.shape)
     d64 = a.data.astype(_F64) - b.data.astype(_F64)
-    out = _sum64(d64 * d64, per_image)
+    out = _sum64(d64 * d64)
 
     def vjp(g, needs):
         gd = (_F64(2.0) * d64 * _per_image(g.astype(_F64), d64.ndim)).astype(_F32)

@@ -84,7 +84,8 @@ def load_model(path):
     """Bit-exact inverse of save_model.
 
     A header whose params list differs from the one its model config
-    defines, in names, order or shapes, raises ArtifactError naming the path.
+    defines, in names, order or shapes, or a param holding a NaN or Inf,
+    raises ArtifactError naming the path.
     """
     header, arrays = read_container(
         path, _FORMAT, lambda h: [shape for _, shape in h["params"]])
@@ -100,6 +101,9 @@ def load_model(path):
         if w != g:
             raise ArtifactError(f"{path}: params do not match the model config: "
                                 f"param {i} is {g}, expected {w}")
-    params = {name: Tensor(arr, requires_grad=False)
-              for (name, _), arr in zip(header["params"], arrays)}
+    params = {}
+    for (name, _), arr in zip(header["params"], arrays):
+        if not np.isfinite(arr).all():
+            raise ArtifactError(f"{path}: param {name} holds non-finite values")
+        params[name] = Tensor(arr, requires_grad=False)
     return DenoiserModel(config, params, schedule=sched)

@@ -47,9 +47,8 @@ class PromptEmbedding:
 class AttentionRecord:
     """Post-softmax cross-attention maps captured during one forward pass.
 
-    per_block[i] is a (B, H_i, W_i, S) tensor over the pass's B images (one
-    image's maps are (H_i, W_i, S), as predict_noise returns them): for each
-    query pixel, the softmax weight assigned to every caption token (padding
+    per_block[i] is a (B, H_i, W_i, S) tensor over the pass's B images: for
+    each query pixel, the softmax weight assigned to every caption token (padding
     included, so each pixel's token-sum is exactly 1).
     """
 
@@ -217,6 +216,9 @@ class DenoiserModel:
             raise ValueError(
                 f"encode: expected (B, {size}, {size}, "
                 f"{self.config.in_channels}), got {tuple(xb.shape)}")
+        ts = np.asarray(t)
+        if self.schedule is not None and ((ts < 0) | (ts >= self.schedule.T)).any():
+            raise ValueError(f"encode: timestep {t} outside [0, {self.schedule.T})")
 
         pos = self._pos_cache.get(xb.shape[0])
         if pos is None:
@@ -255,31 +257,3 @@ class DenoiserModel:
         d0 = self._level(x, t, "dec0")
         del x
         return ad.dense(d0, self.params["head_w"], self.params["head_b"]), record
-
-
-def predict_noise(model, x_t, t, prompt, capture_attention=False):
-    """Single-image noise prediction; returns (eps_hat, AttentionRecord or None).
-
-    x_t may be a Tensor on an active tape (gradient path) or a plain array.
-    """
-    if model.schedule is not None and not (0 <= t < model.schedule.T):
-        raise ValueError(f"predict_noise: timestep {t} outside [0, {model.schedule.T})")
-    xt = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float32))
-    size = model.config.image_size
-    xb = ad.reshape(xt, (1, size, size, model.config.in_channels))
-    pm = ad.reshape(prompt.matrix, (1,) + tuple(prompt.matrix.shape))
-    eps, record = model.forward_batch(xb, t, pm, capture_attention=capture_attention)
-    eps = ad.reshape(eps, tuple(xt.shape))
-    if record is not None:
-        record.per_block = [ad.reshape(m, m.shape[1:]) for m in record.per_block]
-    return eps, record
-
-
-def bottleneck_features(model, x, t, prompt):
-    """Quarter-resolution activations after the deepest attention block."""
-    xt = Tensor(np.asarray(x, dtype=np.float32))
-    size = model.config.image_size
-    xb = ad.reshape(xt, (1, size, size, model.config.in_channels))
-    pm = ad.reshape(prompt.matrix, (1,) + tuple(prompt.matrix.shape))
-    _, _, feats = model.encode(xb, t, pm)
-    return feats.data[0].copy()

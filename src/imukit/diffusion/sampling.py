@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from imukit.autodiff import Tensor
-from imukit.diffusion.model import predict_noise
 from imukit.diffusion.schedule import forward_diffuse
 
 # Rows per forward_batch call in edit_batch. An untaped forward's peak grows
@@ -27,21 +26,6 @@ def _reverse_update(sched, t, x_t, eps_hat, sigma, z):
     if sigma == 0.0:
         return mean
     return mean + np.float32(sigma) * z
-
-
-def reverse_step(model, x_t, t, prompt, rng, sigma_override=None):
-    """One denoising step from level t to level t-1.
-
-    z is drawn from rng and sigma_t = sqrt(beta_t) unless overridden.
-    """
-    sched = model.schedule
-    if not (1 <= t < sched.T):
-        raise ValueError(f"reverse_step: timestep {t} outside [1, {sched.T})")
-    x_t = np.asarray(x_t, dtype=np.float32)
-    eps_hat, _ = predict_noise(model, x_t, t, prompt)
-    sigma = sched.sigma[t] if sigma_override is None else sigma_override
-    z = None if sigma == 0.0 else rng.standard_normal(x_t.shape).astype(np.float32)
-    return _reverse_update(sched, t, x_t, eps_hat.data, sigma, z)
 
 
 def edit_batch(model, pairs, t_edit):

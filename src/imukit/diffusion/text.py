@@ -17,7 +17,6 @@ _WORDS = ["<pad>"] + COLOR_WORDS + SHAPE_WORDS + STRUCT_WORDS
 assert len(_WORDS) <= VOCAB_SIZE
 
 WORD_TO_ID = {w: i for i, w in enumerate(_WORDS)}
-ID_TO_WORD = {i: w for i, w in enumerate(_WORDS)}
 
 
 def encode_caption(words):
@@ -33,11 +32,6 @@ def encode_caption(words):
         ids.append(WORD_TO_ID[w])
     ids.extend([PAD_ID] * (MAX_TOKENS - len(ids)))
     return tuple(ids)
-
-
-def decode_tokens(ids):
-    """Inverse of encode_caption, dropping padding."""
-    return " ".join(ID_TO_WORD[i] for i in ids if i != PAD_ID)
 
 
 def caption_words(fg_color, shape, bg_color):

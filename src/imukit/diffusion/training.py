@@ -88,9 +88,11 @@ def _stacked(items):
 
 def _mc_loss(model, xs, ids, t, eps):
     """Monte-Carlo noise-prediction loss (MSE) for one shared timestep."""
-    xb = forward_diffuse(model.schedule, xs, t, eps)
     pm = model._embed_ids(ids)
-    pred, _ = model.forward_batch(Tensor(xb), t, pm)
+    # Tensor copies the noised batch, so not binding it frees the numpy batch
+    # before the forward runs
+    pred, _ = model.forward_batch(
+        Tensor(forward_diffuse(model.schedule, xs, t, eps)), t, pm)
     diff = ad.sub(pred, Tensor(eps))
     return ad.mean_(ad.square(diff))
 

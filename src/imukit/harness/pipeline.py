@@ -19,11 +19,12 @@ from imukit.attack import (
     PerturbationState, immunize, immunize_batch, random_noise_delta, resolve_timesteps,
 )
 from imukit.attention_mask import aggregate, dump_debug, make_mask
+from imukit.autodiff import Tensor
 from imukit.diffusion.dataset import (
     SPLIT_TEST, SPLIT_TRAIN, make_dataset, unseen_captions,
 )
 from imukit.diffusion.io import load_model, save_model
-from imukit.diffusion.model import DenoiserModel, predict_noise
+from imukit.diffusion.model import DenoiserModel
 from imukit.diffusion.sampling import edit, edit_batch
 from imukit.diffusion.schedule import forward_diffuse
 from imukit.diffusion.text import encode_caption
@@ -532,6 +533,7 @@ def _write_heatmaps(model, cfg, paths, items, methods):
     for idx in range(min(cfg.heatmap_images, len(items))):
         item = items[idx]
         prompt = model.encode_prompt(item.tokens)
+        pm = Tensor(prompt.matrix.data[None])
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _ROLE_HEATMAP, idx]))
         eps = rng.standard_normal(item.image.shape).astype(np.float32)
@@ -540,8 +542,9 @@ def _write_heatmaps(model, cfg, paths, items, methods):
                   for label, method in variants]
         for label, x in images:
             x_t = forward_diffuse(model.schedule, x, t_h, eps)
-            _, rec = predict_noise(model, x_t, t_h, prompt, capture_attention=True)
-            agg = aggregate(rec, prompt)
+            _, rec = model.forward_batch(Tensor(x_t[None]), t_h, pm,
+                                         capture_attention=True)
+            agg = aggregate(rec, [prompt]).images()[0]
             mask = make_mask(agg, cfg.attack.bins, timestep=t_h)
             dump_debug(agg, mask, str(paths.heatmaps_dir / f"img_{idx:03d}_{label}"))
 

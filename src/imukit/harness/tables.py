@@ -32,11 +32,6 @@ def write_csv(path, columns, rows):
             w.writerow([_fmt(row[c]) for c in columns])
 
 
-def read_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        return list(csv.DictReader(f))
-
-
 def aggregate_rows(rows, methods):
     """Per-method mean and median of every metric column."""
     out = {}

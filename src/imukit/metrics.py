@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from imukit.diffusion.model import bottleneck_features
+from imukit.autodiff import Tensor
 from imukit.diffusion.text import MAX_TOKENS, PAD_ID
 
 PSNR_CAP_DB = 100.0
@@ -156,12 +156,14 @@ def vifp(ref, dist):
 def percep_features(img, model):
     """percep_dist's feature pass: unit-normalized bottleneck activations.
 
-    Runs the noise predictor at timestep 1 under an empty caption and
-    unit-normalizes each spatial position's channel vector (float64).
+    Runs the noise predictor's encoder on the image, a batch of one, at
+    timestep 1 under an empty caption, and unit-normalizes each spatial
+    position's channel vector of its deepest activations (float64).
     """
     neutral = model.encode_prompt([PAD_ID] * MAX_TOKENS)
-    f = bottleneck_features(model, np.asarray(img, dtype=np.float32), 1, neutral)
-    f = f.astype(np.float64)
+    _, _, h2 = model.encode(Tensor(np.asarray(img, dtype=np.float32)[None]), 1,
+                            Tensor(neutral.matrix.data[None]))
+    f = h2.data[0].astype(np.float64)
     norm = np.sqrt((f * f).sum(axis=-1, keepdims=True))
     return f / (norm + 1e-12)
 

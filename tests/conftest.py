@@ -1,8 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 import imukit.attack as attack
-from imukit.diffusion import DenoiserModel, ModelConfig, build_schedule, load_model
+from imukit.diffusion.io import load_model
+from imukit.diffusion.model import DenoiserModel, ModelConfig
+from imukit.diffusion.schedule import build_schedule
 from imukit.harness.artifacts import read_json
 from imukit.harness.config import ExperimentConfig
 from imukit.harness.pipeline import cmd_gen_data, cmd_train, load_split, run_paths
@@ -45,6 +49,12 @@ def tiny_experiment(out_dir, seed=0, **overrides):
     }
     d.update(overrides)
     return ExperimentConfig.from_dict(d)
+
+
+def read_csv(path):
+    """A CSV table's rows as dicts keyed by its header row."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def shape_masks(paths, split):

@@ -7,7 +7,9 @@ forward rounding. Production analytic gradients are compared against these.
 
 The package's fused ops are checked bit for bit against chains of unfused
 tape ops. The silu, softmax and transpose steps of those chains have no
-other use, so they live here, recorded through the package's own tape.
+other use, so they live here, recorded through the package's own tape. So
+does reverse_step, one ancestral step of one image, the oracle that edit's
+lockstep chain is checked against.
 """
 
 import math
@@ -15,7 +17,8 @@ import math
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from imukit.autodiff import _finish
+from imukit.autodiff import Tensor, _finish
+from imukit.diffusion.sampling import _reverse_update
 
 # ---------------------------------------------------------------------------
 # unfused float32 tape ops, the steps of the chains the fused ops must match
@@ -60,6 +63,28 @@ def transpose(x, axes=None):
         return (np.transpose(g, inv) if needs[0] else None,)
 
     return _finish("transpose", np.transpose(xd, perm), (x,), vjp, check=False)
+
+
+# ---------------------------------------------------------------------------
+# edit's step oracle: one reverse step of one image
+# ---------------------------------------------------------------------------
+
+
+def reverse_step(model, x_t, t, prompt, rng, sigma_override=None):
+    """One denoising step of one image from level t to level t-1.
+
+    The model predicts the noise of the image as a batch of one. z is drawn
+    from rng and sigma_t = sqrt(beta_t) unless overridden.
+    """
+    sched = model.schedule
+    if not (1 <= t < sched.T):
+        raise ValueError(f"reverse_step: timestep {t} outside [1, {sched.T})")
+    x_t = np.asarray(x_t, dtype=np.float32)
+    pm = Tensor(prompt.matrix.data[None])
+    eps_hat = model.forward_batch(Tensor(x_t[None]), t, pm)[0].data[0]
+    sigma = sched.sigma[t] if sigma_override is None else sigma_override
+    z = None if sigma == 0.0 else rng.standard_normal(x_t.shape).astype(np.float32)
+    return _reverse_update(sched, t, x_t, eps_hat, sigma, z)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import tiny_experiment
+from conftest import read_csv, tiny_experiment
 from imukit import autodiff as ad
 from imukit.attack import AttackConfig, immunize, total_loss
 from imukit.attention_mask import KapurHistogram, aggregate, kapur_threshold, make_mask
@@ -19,7 +19,6 @@ from imukit.harness.pipeline import (
     cmd_ablate, cmd_evaluate, cmd_gen_data, cmd_immunize, cmd_train, load_split,
     run_paths,
 )
-from imukit.harness.tables import read_csv
 from imukit.metrics import percep_dist, psnr, ssim, vifp
 from imukit.ppm import read_ppm
 from oracle_forward import oracle_total_loss
@@ -152,8 +151,9 @@ def test_acceptance_2_gradient_correctness():
     for build, ref in [
         (ad.sum_, lambda v: v.sum()),
         (ad.mean_, lambda v: v.mean()),
-        (ad.frobenius_sq, lambda v: (v ** 2).sum()),
-        (lambda t: ad.l2_sq_distance(t, Tensor(b)), lambda v: ((v - b64) ** 2).sum()),
+        (lambda t: ad.sum_(ad.frobenius_sq(t)), lambda v: (v ** 2).sum()),
+        (lambda t: ad.sum_(ad.l2_sq_distance(t, Tensor(b))),
+         lambda v: ((v - b64) ** 2).sum()),
     ]:
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
@@ -170,13 +170,14 @@ def test_acceptance_2_gradient_correctness():
     eps = gen.standard_normal(x0.shape).astype(np.float32)
     t = 9
     with Tape():
-        d = Tensor(delta0, requires_grad=True)
-        _, comps = total_loss(x0, d, model, prompt, t, eps)
+        d = Tensor(delta0[None], requires_grad=True)
+        _, (comps,) = total_loss(x0[None], d, model, [prompt], t, eps[None])
     mask = comps["mask"]
     with Tape() as tape:
-        d = Tensor(delta0, requires_grad=True)
-        loss, _ = total_loss(x0, d, model, prompt, t, eps, mask_override=mask)
-    got = tape.backward(loss)[d]
+        d = Tensor(delta0[None], requires_grad=True)
+        loss, _ = total_loss(x0[None], d, model, [prompt], t, eps[None],
+                             mask_override=[mask])
+    got = tape.backward(loss)[d][0]
     want = numeric_grad(
         lambda dv: oracle_total_loss(model, x0, dv, eps, IDS,
                                      prompt.content_mask, t, mask.mask),
@@ -386,8 +387,8 @@ def test_acceptance_9_mask_invariance(ref_model, ref_test_items, mask_calls):
                              content_mask=np.array([True]))
     base = None
     for a_s, b_s in [(1.0, 0.0), (2.0, 0.0), (0.5, 1.25), (3.7, -0.4), (977.0, 13.0)]:
-        rec = AttentionRecord(per_block=[Tensor(a_s * raw + b_s)])
-        agg = aggregate(rec, prompt)
+        rec = AttentionRecord(per_block=[Tensor((a_s * raw + b_s)[None])])
+        agg = aggregate(rec, [prompt]).images()[0]
         bm = make_mask(agg, 128)
         assert set(np.unique(bm.mask)).issubset({0, 1})
         if base is None:

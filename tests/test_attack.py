@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 import imukit.attack as attack
+import imukit.autodiff as autodiff
 from imukit.attack import (
     AttackConfig, daa_loss, default_timesteps, immunize, immunize_batch, nba_loss,
     random_noise_delta, resolve_timesteps, snap_to_8bit, total_loss,
 )
 from imukit.attention_mask import AggregatedAttention, BinaryMask
-from imukit.autodiff import Tape, Tensor
-from imukit.diffusion import DenoiserModel, ModelConfig, build_schedule, predict_noise
-from imukit.diffusion.schedule import forward_diffuse
+from imukit.autodiff import Tape, Tensor, sum_
+from imukit.diffusion.model import DenoiserModel, ModelConfig
+from imukit.diffusion.schedule import build_schedule, forward_diffuse
 from imukit.diffusion.training import _mc_loss
 from oracle_forward import oracle_total_loss
 from oracles import fd_agreement, numeric_grad
@@ -78,11 +79,12 @@ def test_default_timesteps_cover_range():
 # ---------------------------------------------------------------------------
 
 def agg_of(att):
+    """The aggregated attention of one (H, W) map, as a batch of one."""
     att = np.asarray(att, dtype=np.float32)
     lo, hi = att.min(), att.max()
     norm = (att - lo) / (hi - lo) if hi > lo else np.zeros_like(att)
-    return AggregatedAttention(map=Tensor(norm), pre_norm=Tensor(att),
-                               degenerate=hi <= lo)
+    return AggregatedAttention(map=Tensor(norm[None]), pre_norm=Tensor(att[None]),
+                               degenerate=np.array([hi <= lo]))
 
 
 def mask_of(m):
@@ -92,16 +94,16 @@ def mask_of(m):
 
 def test_daa_loss_hand_example():
     att = [[0.5, 0.2], [0.0, 1.0]]
-    loss = daa_loss(agg_of(att), mask_of([[1, 0], [0, 1]]), 1.0)
+    loss = daa_loss(agg_of(att), [mask_of([[1, 0], [0, 1]])], 1.0)
     assert loss.item() == pytest.approx((0.25 + 1.0) - (0.04 + 0.0), abs=1e-6)
 
 
 def test_daa_loss_mask_extremes():
     att = [[0.5, 0.2], [0.0, 1.0]]
     fro = 0.25 + 0.04 + 0.0 + 1.0
-    assert daa_loss(agg_of(att), mask_of(np.ones((2, 2))), 1.0).item() == \
+    assert daa_loss(agg_of(att), [mask_of(np.ones((2, 2)))], 1.0).item() == \
         pytest.approx(fro, abs=1e-6)
-    assert daa_loss(agg_of(att), mask_of(np.zeros((2, 2))), 1.0).item() == \
+    assert daa_loss(agg_of(att), [mask_of(np.zeros((2, 2)))], 1.0).item() == \
         pytest.approx(-fro, abs=1e-6)
 
 
@@ -109,25 +111,25 @@ def test_daa_loss_shape_mismatch():
     from imukit.autodiff import ShapeMismatchError
     with pytest.raises(ShapeMismatchError):
         daa_loss(agg_of(np.zeros((2, 2)) + [[1, 0], [0, 1]]),
-                 mask_of(np.ones((3, 3))), 1.0)
+                 [mask_of(np.ones((3, 3)))], 1.0)
 
 
 def test_nba_loss_examples():
-    same = Tensor([1.0, 2.0])
-    assert nba_loss(same, Tensor([1.0, 2.0])).item() == 0.0
-    assert nba_loss(Tensor([1.0, 0.0]), Tensor([0.0, 0.0])).item() == -1.0
+    same = Tensor([[1.0, 2.0]])
+    assert nba_loss(same, Tensor([[1.0, 2.0]])).item() == 0.0
+    assert nba_loss(Tensor([[1.0, 0.0]]), Tensor([[0.0, 0.0]])).item() == -1.0
 
 
 def test_nba_loss_gradient_direction():
     """d/d(imu) of -(eps - imu)^2 is -2*(imu - eps): descending it pushes
     the predicted noise AWAY from the injected one."""
-    imu = Tensor([0.0, 0.0], requires_grad=True)
+    imu = Tensor([[0.0, 0.0]], requires_grad=True)
     with Tape() as tape:
-        loss = nba_loss(Tensor([1.0, 0.0]), imu)
+        loss = sum_(nba_loss(Tensor([[1.0, 0.0]]), imu))
     g = tape.backward(loss)[imu]
     assert np.allclose(g, [2.0, 0.0])  # = -2*(imu - eps)
     # one descent step moves imu[0] to -alpha*2: farther from eps=1
-    assert (imu.data[0] - 0.1 * g[0]) < imu.data[0]
+    assert (imu.data[0, 0] - 0.1 * g[0, 0]) < imu.data[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +141,8 @@ def assert_nba_is_prediction_error_at_zero_delta(model, prompt, x0, eps, t):
     error of eps (float64 oracle, relative 1e-6), and its gradient is nonzero."""
     cfg = AttackConfig(daa_mode="off")
     with Tape() as tape:
-        delta = Tensor(np.zeros_like(x0), requires_grad=True)
-        loss, comps = total_loss(x0, delta, model, prompt, t, eps, cfg)
+        delta = Tensor(np.zeros((1,) + x0.shape), requires_grad=True)
+        loss, (comps,) = total_loss(x0[None], delta, model, [prompt], t, eps[None], cfg)
     want = oracle_total_loss(model, x0, np.zeros_like(x0), eps, IDS,
                              prompt.content_mask, t, None, daa_mode="off")
     assert want < 0.0
@@ -167,8 +169,9 @@ def test_total_loss_makes_one_model_pass_per_timestep(
     eps = rng.standard_normal(x0.shape).astype(np.float32)
     cfg = AttackConfig(daa_mode=daa_mode, lambda_nba=lambda_nba)
     with Tape():
-        delta = Tensor(np.full(x0.shape, 0.01, dtype=np.float32), requires_grad=True)
-        total_loss(x0, delta, model, prompt, 5, eps, cfg)
+        delta = Tensor(np.full((1,) + x0.shape, 0.01, dtype=np.float32),
+                       requires_grad=True)
+        total_loss(x0[None], delta, model, [prompt], 5, eps[None], cfg)
     assert forward_calls == [1]
 
 
@@ -177,14 +180,15 @@ def test_total_loss_branches_bit_identical_at_zero_delta(rng):
     prompt = model.encode_prompt(IDS)
     x0 = grid_image(rng)
     eps = rng.standard_normal(x0.shape).astype(np.float32)
-    xt = forward_diffuse(model.schedule, x0, 5, eps)
-    e1, _ = predict_noise(model, xt, 5, prompt)
+    pm = Tensor(prompt.matrix.data[None])
+    xt = forward_diffuse(model.schedule, x0[None], 5, eps[None])
+    e1, _ = model.forward_batch(Tensor(xt), 5, pm)
     with Tape():
-        delta = Tensor(np.zeros_like(x0), requires_grad=True)
+        delta = Tensor(np.zeros((1,) + x0.shape), requires_grad=True)
         from imukit.autodiff import add
-        x_imu = add(Tensor(x0), delta)
-        xt_imu = forward_diffuse(model.schedule, x_imu, 5, Tensor(eps))
-        e2, _ = predict_noise(model, xt_imu, 5, prompt)
+        x_imu = add(Tensor(x0[None]), delta)
+        xt_imu = forward_diffuse(model.schedule, x_imu, 5, Tensor(eps[None]))
+        e2, _ = model.forward_batch(xt_imu, 5, pm)
     assert np.array_equal(e1.data, e2.data)
 
 
@@ -194,9 +198,9 @@ def test_total_loss_daa_only_when_lambda_nba_zero(rng):
     x0 = grid_image(rng)
     eps = rng.standard_normal(x0.shape).astype(np.float32)
     with Tape():
-        delta = Tensor(np.zeros_like(x0), requires_grad=True)
-        loss, comps = total_loss(x0, delta, model, prompt, 5, eps,
-                                 AttackConfig(lambda_nba=0.0))
+        delta = Tensor(np.zeros((1,) + x0.shape), requires_grad=True)
+        loss, (comps,) = total_loss(x0[None], delta, model, [prompt], 5, eps[None],
+                                    AttackConfig(lambda_nba=0.0))
     assert comps["nba"] == 0.0
     assert loss.item() == pytest.approx(comps["daa"], rel=1e-6)
     assert comps["total"] == pytest.approx(comps["daa"], rel=1e-6)
@@ -212,11 +216,12 @@ def test_total_loss_tape_node_count_on_default_model(rng):
     x0 = grid_image(rng, size=32)
     eps = rng.standard_normal(x0.shape).astype(np.float32)
     with Tape() as tape:
-        delta = Tensor(np.full(x0.shape, 0.01, dtype=np.float32), requires_grad=True)
-        loss, comps = total_loss(x0, delta, model, prompt, 25, eps)
+        delta = Tensor(np.full((1,) + x0.shape, 0.01, dtype=np.float32),
+                       requires_grad=True)
+        loss, (comps,) = total_loss(x0[None], delta, model, [prompt], 25, eps[None])
     assert not comps["degenerate"]
     assert len(tape.nodes) == 35
-    assert tape.backward(loss)[delta].shape == x0.shape
+    assert tape.backward(loss)[delta].shape == (1,) + x0.shape
 
 
 def test_total_loss_gradient_matches_float64_fd(rng):
@@ -232,15 +237,16 @@ def test_total_loss_gradient_matches_float64_fd(rng):
 
     # mask from the base point, then frozen
     with Tape():
-        d = Tensor(delta0, requires_grad=True)
-        _, comps = total_loss(x0, d, model, prompt, t, eps)
+        d = Tensor(delta0[None], requires_grad=True)
+        _, (comps,) = total_loss(x0[None], d, model, [prompt], t, eps[None])
     mask = comps["mask"]
     assert not mask.degenerate
 
     with Tape() as tape:
-        d = Tensor(delta0, requires_grad=True)
-        loss, _ = total_loss(x0, d, model, prompt, t, eps, mask_override=mask)
-    got = tape.backward(loss)[d]
+        d = Tensor(delta0[None], requires_grad=True)
+        loss, _ = total_loss(x0[None], d, model, [prompt], t, eps[None],
+                             mask_override=[mask])
+    got = tape.backward(loss)[d][0]
 
     def f(dv):
         return oracle_total_loss(model, x0, dv, eps, IDS,
@@ -262,14 +268,14 @@ def test_total_loss_gradient_with_stop_gradient_equals_constant_mask(rng):
     eps = rng.standard_normal(x0.shape).astype(np.float32)
 
     with Tape() as t1:
-        d1 = Tensor(delta0, requires_grad=True)
-        loss1, comps = total_loss(x0, d1, model, prompt, 6, eps)
+        d1 = Tensor(delta0[None], requires_grad=True)
+        loss1, (comps,) = total_loss(x0[None], d1, model, [prompt], 6, eps[None])
     g1 = t1.backward(loss1)[d1]
 
     with Tape() as t2:
-        d2 = Tensor(delta0, requires_grad=True)
-        loss2, _ = total_loss(x0, d2, model, prompt, 6, eps,
-                              mask_override=comps["mask"])
+        d2 = Tensor(delta0[None], requires_grad=True)
+        loss2, _ = total_loss(x0[None], d2, model, [prompt], 6, eps[None],
+                              mask_override=[comps["mask"]])
     g2 = t2.backward(loss2)[d2]
     assert np.abs(g1 - g2).max() <= 1e-6
 
@@ -655,6 +661,35 @@ def test_trainable_step_backward_peaks_little_above_its_tape():
         tracemalloc.stop()
     assert peak - held <= 64 * 1024 * bsz
     assert len(grads) == len(model.params)
+
+
+def test_no_vjp_writes_into_its_incoming_gradient(monkeypatch):
+    """Every vjp leaves the gradient it is handed as it is (mean_ hands
+    square a read-only broadcast view): a trainable step and a lockstep
+    attack run backward with every incoming gradient made read-only."""
+    finish = autodiff._finish
+
+    def read_only_incoming(op, out_arr, parents, vjp, check=True):
+        def guarded(g, needs):
+            g = g.view()
+            g.flags.writeable = False
+            return vjp(g, needs)
+
+        return finish(op, out_arr, parents, vjp and guarded, check)
+
+    monkeypatch.setattr(autodiff, "_finish", read_only_incoming)
+    gen = np.random.default_rng(98)
+    model = micro_model()
+    model.set_trainable(True)
+    xs = np.stack([grid_image(gen) for _ in range(2)])
+    eps = gen.standard_normal(xs.shape).astype(np.float32)
+    with Tape() as tape:
+        loss = _mc_loss(model, xs, np.tile(np.asarray(IDS), (2, 1)), 5, eps)
+    assert len(tape.backward(loss)) == len(model.params)
+    model.set_trainable(False)
+    for method in METHOD_CONFIGS:
+        xs, prompts, cfgs = lockstep_inputs(model, 2, method, iterations=1)
+        immunize_batch(xs, prompts, model, cfgs, rows=4)
 
 
 def test_step_memory_tool_lists_every_backward_node():

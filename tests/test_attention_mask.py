@@ -25,10 +25,16 @@ def fake_prompt(content):
 
 
 def record_of(*maps):
+    """An attention record of one image's (H, W, S) maps, as a batch of one."""
     rec = AttentionRecord()
     for m in maps:
-        rec.per_block.append(Tensor(np.asarray(m, dtype=np.float32)))
+        rec.per_block.append(Tensor(np.asarray(m, dtype=np.float32)[None]))
     return rec
+
+
+def aggregate_one(rec, prompt):
+    """aggregate of a batch of one image, split off to that image's maps."""
+    return aggregate(rec, [prompt]).images()[0]
 
 
 def random_histograms(rng, L, n):
@@ -200,7 +206,7 @@ def test_histogram_validation():
 def test_single_block_single_token_is_normalized_copy(rng):
     m = rng.random((4, 4, 3)).astype(np.float32)
     rec = record_of(m)
-    agg = aggregate(rec, fake_prompt([True, False, False]))
+    agg = aggregate_one(rec, fake_prompt([True, False, False]))
     want = m[:, :, 0]
     want = (want - want.min()) / (want.max() - want.min())
     assert not agg.degenerate
@@ -210,7 +216,7 @@ def test_single_block_single_token_is_normalized_copy(rng):
 
 def test_constant_map_degenerates_to_zero():
     rec = record_of(np.full((4, 4, 2), 0.5))
-    agg = aggregate(rec, fake_prompt([True, True]))
+    agg = aggregate_one(rec, fake_prompt([True, True]))
     assert agg.degenerate
     assert np.array_equal(agg.map.data, np.zeros((4, 4), dtype=np.float32))
 
@@ -220,7 +226,7 @@ def test_two_block_hand_computed_aggregation():
     b_small = np.array([[[0.4]]], dtype=np.float32)           # 1x1x1
     b_big = np.array([[[0.0], [0.2]], [[0.6], [1.0]]], dtype=np.float32)  # 2x2x1
     rec = record_of(b_small, b_big)
-    agg = aggregate(rec, fake_prompt([True]))
+    agg = aggregate_one(rec, fake_prompt([True]))
     pre_want = (np.full((2, 2), 0.4) + b_big[:, :, 0]) / 2.0
     assert np.allclose(agg.pre_norm.data, pre_want, atol=1e-6)
     norm_want = (pre_want - pre_want.min()) / (pre_want.max() - pre_want.min())
@@ -230,9 +236,9 @@ def test_two_block_hand_computed_aggregation():
 def test_aggregate_requires_content_tokens(rng):
     rec = record_of(rng.random((4, 4, 2)).astype(np.float32))
     with pytest.raises(ValueError):
-        aggregate(rec, fake_prompt([False, False]))
+        aggregate(rec, [fake_prompt([False, False])])
     with pytest.raises(ValueError):
-        aggregate(AttentionRecord(), fake_prompt([True]))
+        aggregate(AttentionRecord(), [fake_prompt([True])])
 
 
 def test_aggregate_is_differentiable(rng):
@@ -240,12 +246,12 @@ def test_aggregate_is_differentiable(rng):
     normalized map is a constant equal to the float32 min-max normalization."""
     raw = rng.random((4, 4, 2)).astype(np.float32)
     prompt = fake_prompt([True, True])
-    x = Tensor(raw, requires_grad=True)
+    x = Tensor(raw[None], requires_grad=True)
     with Tape() as tape:
         rec = AttentionRecord(per_block=[x])
-        agg = aggregate(rec, prompt)
-        y = ad.frobenius_sq(agg.pre_norm)
-    got = tape.backward(y)[x]
+        agg = aggregate(rec, [prompt])
+        y = ad.sum_(ad.frobenius_sq(agg.pre_norm))
+    got = tape.backward(y)[x][0]
 
     def f(v):
         return float((v.mean(axis=2) ** 2).sum())
@@ -303,7 +309,7 @@ def test_mask_invariant_to_affine_rescaling(rng):
     base = None
     for a, b in [(1.0, 0.0), (2.0, 0.0), (0.5, 1.25), (3.7, -0.4), (256.0, 11.0)]:
         rec = record_of(a * raw + b)
-        agg = aggregate(rec, fake_prompt([True]))
+        agg = aggregate_one(rec, fake_prompt([True]))
         bm = make_mask(agg, 128)
         if base is None:
             base = bm.mask
@@ -329,7 +335,7 @@ def test_fixed_threshold_mask_uses_unnormalized_map():
 def test_mask_iou_against_ground_truth_shape(ref_cfg, ref_model, ref_test_items):
     """Localization regression: mean mask IoU with the rendered shape mask
     stays above the floor measured on the reference model."""
-    from imukit.diffusion import forward_diffuse, predict_noise
+    from imukit.diffusion.schedule import forward_diffuse
     ious = []
     shapes = shape_masks(run_paths(ref_cfg), "test")
     for item, shape in zip(ref_test_items, shapes, strict=True):
@@ -337,8 +343,10 @@ def test_mask_iou_against_ground_truth_shape(ref_cfg, ref_model, ref_test_items)
         gen = np.random.default_rng(11)
         eps = gen.standard_normal(item.image.shape).astype(np.float32)
         x_t = forward_diffuse(ref_model.schedule, item.image, 25, eps)
-        _, rec = predict_noise(ref_model, x_t, 25, prompt, capture_attention=True)
-        agg = aggregate(rec, prompt)
+        _, rec = ref_model.forward_batch(Tensor(x_t[None]), 25,
+                                         Tensor(prompt.matrix.data[None]),
+                                         capture_attention=True)
+        agg = aggregate_one(rec, prompt)
         bm = make_mask(agg, 128, timestep=25)
         gt = shape.reshape(16, 2, 16, 2).mean(axis=(1, 3)) > 0.5
         pred = bm.mask.astype(bool)

@@ -151,7 +151,7 @@ def test_reduction_fd():
     for build, ref in [
         (ad.sum_, lambda xv: xv.sum()),
         (ad.mean_, lambda xv: xv.mean()),
-        (ad.frobenius_sq, lambda xv: (xv ** 2).sum()),
+        (lambda t: ad.sum_(ad.frobenius_sq(t)), lambda xv: (xv ** 2).sum()),
     ]:
         got = analytic_grad(build, x)
         want = numeric_grad(lambda xv: float(ref(xv)), x)
@@ -162,15 +162,15 @@ def test_reduction_fd():
 
 
 def test_l2_sq_distance_fd_and_example():
-    a = RNG.normal(size=(7,)).astype(np.float32)
-    b = RNG.normal(size=(7,)).astype(np.float32)
+    a = RNG.normal(size=(1, 7)).astype(np.float32)
+    b = RNG.normal(size=(1, 7)).astype(np.float32)
     bt = Tensor(b)
     b64 = b.astype(np.float64)
-    got = analytic_grad(lambda t: ad.l2_sq_distance(t, bt), a)
+    got = analytic_grad(lambda t: ad.sum_(ad.l2_sq_distance(t, bt)), a)
     want = numeric_grad(lambda xv: float(((xv - b64) ** 2).sum()), a)
     assert fd_agreement(got, want) >= 0.99
-    g = analytic_grad(lambda t: ad.l2_sq_distance(t, Tensor([0.0, 0.0])),
-                      np.array([1.0, 2.0], dtype=np.float32))
+    g = analytic_grad(lambda t: ad.sum_(ad.l2_sq_distance(t, Tensor([[0.0, 0.0]]))),
+                      np.array([[1.0, 2.0]], dtype=np.float32))
     assert np.allclose(g, [2.0, 4.0])
 
 
@@ -197,8 +197,9 @@ def test_upsample_avgpool_values():
 
 
 def test_spec_scalar_examples():
-    assert ad.frobenius_sq(Tensor(np.ones((2, 2)))).item() == 4.0
-    g = analytic_grad(ad.frobenius_sq, np.array([2.0, -1.0], dtype=np.float32))
+    assert ad.frobenius_sq(Tensor(np.ones((1, 2, 2)))).item() == 4.0
+    g = analytic_grad(lambda t: ad.sum_(ad.frobenius_sq(t)),
+                      np.array([[2.0, -1.0]], dtype=np.float32))
     assert np.allclose(g, [4.0, -2.0])
     g = analytic_grad(ad.sum_, np.zeros(3, dtype=np.float32))
     assert np.array_equal(g, np.ones(3, dtype=np.float32))

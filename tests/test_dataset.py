@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from imukit.diffusion import MAX_TOKENS, PAD_ID, VOCAB_SIZE, decode_tokens, encode_caption
 from imukit.diffusion.dataset import (
     PALETTE, SPLIT_TEST, SPLIT_TRAIN, make_dataset, render_item, unseen_captions,
 )
-from imukit.diffusion.text import COLOR_WORDS, SHAPE_WORDS
+from imukit.diffusion.text import (
+    COLOR_WORDS, MAX_TOKENS, PAD_ID, SHAPE_WORDS, VOCAB_SIZE, WORD_TO_ID, encode_caption,
+)
 
 
 def test_encode_caption_pads_and_bounds():
@@ -13,7 +14,8 @@ def test_encode_caption_pads_and_bounds():
     assert len(ids) == MAX_TOKENS
     assert all(0 <= i < VOCAB_SIZE for i in ids)
     assert ids[5:] == (PAD_ID,) * 3
-    assert decode_tokens(ids) == "red circle on blue background"
+    words = {i: w for w, i in WORD_TO_ID.items()}
+    assert " ".join(words[i] for i in ids if i != PAD_ID) == "red circle on blue background"
 
 
 def test_encode_caption_rejects_unknown_and_long():

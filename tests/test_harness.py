@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import shape_masks, tiny_experiment
+from conftest import read_csv, shape_masks, tiny_experiment
 from imukit.attack import immunize, immunize_batch
 from imukit.autodiff import ShapeMismatchError
 from imukit.harness import cli
@@ -26,7 +26,7 @@ from imukit.harness.pipeline import (
     run_paths,
 )
 from imukit.harness.artifacts import read_delta, read_json, write_delta
-from imukit.harness.tables import METRIC_NAMES, read_csv
+from imukit.harness.tables import METRIC_NAMES
 from imukit.diffusion.io import load_model, save_model
 from imukit.diffusion.sampling import EDIT_ROWS, edit
 from imukit.diffusion.text import encode_caption
@@ -785,6 +785,22 @@ def test_cli_corrupt_model_header_exits_3_naming_it(tiny_run, tmp_path, capsys):
     assert main(["evaluate", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert str(path) in err and "image_size" in err
+
+
+def test_cli_nan_model_weight_exits_3_naming_file_and_param(tiny_run, tmp_path, capsys):
+    """A model.bin with a NaN weight is a corrupt artifact (exit 3) whose
+    error names the file and the parameter, not a numeric failure (exit 4)."""
+    cfg = dataclasses.replace(tiny_run, out_dir=str(tmp_path))
+    shutil.copytree(run_paths(tiny_run).root, run_paths(cfg).root)
+    path = run_paths(cfg).model_bin
+    model = load_model(path)
+    model.params["enc0_w"].data[0, 0] = np.nan
+    save_model(model, path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg.save(cfg_path)
+    assert main(["immunize", "--config", str(cfg_path), "--methods", "danp"]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "enc0_w" in err
 
 
 def test_cli_engine_error_is_not_a_config_error(tmp_path, monkeypatch):

@@ -3,11 +3,13 @@ import pytest
 
 from imukit import autodiff as ad
 from imukit.autodiff import Tape, Tensor
-from imukit.diffusion import (
-    DenoiserModel, ModelConfig, build_schedule, load_model, predict_noise, save_model,
+from imukit.diffusion.io import load_model, save_model
+from imukit.diffusion.model import (
+    N_POS_CHANNELS, DenoiserModel, ModelConfig, positional_channels,
 )
-from imukit.diffusion.model import N_POS_CHANNELS, bottleneck_features, positional_channels
+from imukit.diffusion.schedule import build_schedule
 from imukit.diffusion.text import PAD_ID
+from imukit.metrics import percep_features
 from oracle_forward import oracle_forward
 from oracles import silu, softmax, transpose
 
@@ -20,19 +22,25 @@ def prompt(tiny_model):
     return tiny_model.encode_prompt(PROMPT_IDS)
 
 
+def forward_one(model, x, t, prompt, capture_attention=False):
+    """forward_batch of one image and its prompt, as a batch of one."""
+    return model.forward_batch(Tensor(x[None]), t, Tensor(prompt.matrix.data[None]),
+                               capture_attention=capture_attention)
+
+
 def test_output_shape_matches_input(tiny_model, prompt, rng):
     x = rng.random((16, 16, 3)).astype(np.float32)
     for t in (0, 7, 19):
-        eps, rec = predict_noise(tiny_model, x, t, prompt)
-        assert eps.shape == (16, 16, 3)
+        eps, rec = forward_one(tiny_model, x, t, prompt)
+        assert eps.shape == (1, 16, 16, 3)
         assert rec is None
 
 
 def test_captured_maps_rows_sum_to_one(tiny_model, prompt, rng):
     x = rng.random((16, 16, 3)).astype(np.float32)
-    _, rec = predict_noise(tiny_model, x, 3, prompt, capture_attention=True)
+    _, rec = forward_one(tiny_model, x, 3, prompt, capture_attention=True)
     assert len(rec.per_block) == 2
-    assert [m.shape[:2] for m in rec.per_block] == [(8, 8), (4, 4)]
+    assert [m.shape[1:3] for m in rec.per_block] == [(8, 8), (4, 4)]
     for maps in rec.per_block:
         sums = maps.data.sum(axis=-1)
         assert np.abs(sums - 1.0).max() <= 1e-6
@@ -41,15 +49,15 @@ def test_captured_maps_rows_sum_to_one(tiny_model, prompt, rng):
 
 def test_capture_does_not_change_prediction(tiny_model, prompt, rng):
     x = rng.random((16, 16, 3)).astype(np.float32)
-    e1, _ = predict_noise(tiny_model, x, 5, prompt, capture_attention=True)
-    e2, _ = predict_noise(tiny_model, x, 5, prompt)
+    e1, _ = forward_one(tiny_model, x, 5, prompt, capture_attention=True)
+    e2, _ = forward_one(tiny_model, x, 5, prompt)
     assert np.array_equal(e1.data, e2.data)
 
 
 def test_prediction_deterministic(tiny_model, prompt, rng):
     x = rng.random((16, 16, 3)).astype(np.float32)
-    e1, _ = predict_noise(tiny_model, x, 5, prompt)
-    e2, _ = predict_noise(tiny_model, x, 5, prompt)
+    e1, _ = forward_one(tiny_model, x, 5, prompt)
+    e2, _ = forward_one(tiny_model, x, 5, prompt)
     assert np.array_equal(e1.data, e2.data)
 
 
@@ -57,11 +65,11 @@ def test_forward_matches_float64_reference(tiny_model, rng):
     ids = [2, 18, 20, 9, 21, 0, 0, 0]
     prompt = tiny_model.encode_prompt(ids)
     x = rng.random((16, 16, 3)).astype(np.float32)
-    eps, rec = predict_noise(tiny_model, x, 4, prompt, capture_attention=True)
+    eps, rec = forward_one(tiny_model, x, 4, prompt, capture_attention=True)
     ref_eps, ref_maps = oracle_forward(tiny_model, x.astype(np.float64), 4, ids)
-    assert np.allclose(eps.data, ref_eps, rtol=1e-4, atol=1e-5)
+    assert np.allclose(eps.data[0], ref_eps, rtol=1e-4, atol=1e-5)
     for got, want in zip(rec.per_block, ref_maps):
-        assert np.allclose(got.data, want, rtol=1e-4, atol=1e-6)
+        assert np.allclose(got.data[0], want, rtol=1e-4, atol=1e-6)
 
 
 def test_encode_prompt_validation(tiny_model):
@@ -77,12 +85,12 @@ def test_encode_prompt_validation(tiny_model):
 def test_timestep_validation(tiny_model, prompt, rng):
     x = rng.random((16, 16, 3)).astype(np.float32)
     with pytest.raises(ValueError):
-        predict_noise(tiny_model, x, 20, prompt)
+        forward_one(tiny_model, x, 20, prompt)
 
 
 def test_input_shape_validation(tiny_model, prompt):
     with pytest.raises(ValueError):
-        predict_noise(tiny_model, np.zeros((8, 8, 3), dtype=np.float32), 1, prompt)
+        forward_one(tiny_model, np.zeros((8, 8, 3), dtype=np.float32), 1, prompt)
 
 
 def test_serialization_round_trip_bit_exact(tmp_path, tiny_model, prompt, rng):
@@ -95,8 +103,8 @@ def test_serialization_round_trip_bit_exact(tmp_path, tiny_model, prompt, rng):
         assert np.array_equal(loaded.params[name].data, tiny_model.params[name].data)
     x = rng.random((16, 16, 3)).astype(np.float32)
     p2 = loaded.encode_prompt(PROMPT_IDS)
-    e1, _ = predict_noise(tiny_model, x, 2, prompt)
-    e2, _ = predict_noise(loaded, x, 2, p2)
+    e1, _ = forward_one(tiny_model, x, 2, prompt)
+    e2, _ = forward_one(loaded, x, 2, p2)
     assert np.array_equal(e1.data, e2.data)
 
 
@@ -109,16 +117,16 @@ def test_save_twice_byte_identical(tmp_path, tiny_model):
 
 def test_bottleneck_features_deterministic(tiny_model, rng):
     x = rng.random((16, 16, 3)).astype(np.float32)
-    neutral = tiny_model.encode_prompt([PAD_ID] * 8)
-    f1 = bottleneck_features(tiny_model, x, 1, neutral)
-    f2 = bottleneck_features(tiny_model, x, 1, neutral)
+    f1 = percep_features(x, tiny_model)
+    f2 = percep_features(x, tiny_model)
     assert f1.shape == (4, 4, tiny_model.config.widths[2])
     assert np.array_equal(f1, f2)
 
 
 def test_bottleneck_features_run_the_encoder_only(tiny_model, rng, monkeypatch):
-    """A feature pass runs no decoder, and its features are the bottleneck
-    activations of a full forward of the same input, bit for bit."""
+    """A feature pass (percep_features) runs no decoder, and its features
+    are the bottleneck activations of a full forward of the same input, bit
+    for bit."""
     x = rng.random((16, 16, 3)).astype(np.float32)
     neutral = tiny_model.encode_prompt([PAD_ID] * 8)
     encoded = []
@@ -129,14 +137,18 @@ def test_bottleneck_features_run_the_encoder_only(tiny_model, rng, monkeypatch):
         return encoded[-1]
 
     monkeypatch.setattr(DenoiserModel, "encode", recording)
-    predict_noise(tiny_model, x, 1, neutral)
+    forward_one(tiny_model, x, 1, neutral)
     full = encoded[-1][2].data[0]
 
     def no_decoder(self, *args, **kwargs):
-        raise AssertionError("bottleneck_features called forward_batch")
+        raise AssertionError("the feature pass called forward_batch")
 
     monkeypatch.setattr(DenoiserModel, "forward_batch", no_decoder)
-    assert np.array_equal(bottleneck_features(tiny_model, x, 1, neutral), full)
+    got = percep_features(x, tiny_model)
+    assert np.array_equal(encoded[-1][2].data[0], full)
+    f = full.astype(np.float64)
+    want = f / (np.sqrt((f * f).sum(axis=-1, keepdims=True)) + 1e-12)
+    assert np.array_equal(got, want)
 
 
 def test_init_is_seeded():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import shape_masks
-from imukit.diffusion import DenoiserModel, ModelConfig, build_schedule, edit, reverse_step
-from imukit.diffusion.sampling import EDIT_ROWS, edit_batch
+from imukit.diffusion.model import DenoiserModel, ModelConfig
+from imukit.diffusion.sampling import EDIT_ROWS, edit, edit_batch
+from imukit.diffusion.schedule import build_schedule
 from imukit.harness.pipeline import run_paths
+from oracles import reverse_step
 
 
 @pytest.fixture()

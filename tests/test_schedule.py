@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from imukit.autodiff import Tape, Tensor, sum_
-from imukit.diffusion import build_schedule, forward_diffuse
+from imukit.diffusion.schedule import build_schedule, forward_diffuse
 
 
 def test_two_step_schedule_matches_hand_product():

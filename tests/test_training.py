@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from imukit.autodiff import Tape
-from imukit.diffusion import (
-    DenoiserModel, ModelConfig, TrainConfig, TrainingDiverged, build_schedule,
-    make_dataset, train,
+from imukit.diffusion.dataset import make_dataset
+from imukit.diffusion.model import DenoiserModel, ModelConfig
+from imukit.diffusion.schedule import build_schedule
+from imukit.diffusion.training import (
+    Adam, TrainConfig, TrainingDiverged, _mc_loss, _stacked, evaluate_loss, train,
 )
-from imukit.diffusion.training import Adam, _mc_loss, _stacked, evaluate_loss
 from oracles import fd_agreement, numeric_grad
 
 

@@ -5,13 +5,18 @@
 
 Builds one run directory in a temporary folder: the dataset of a default
 config with ``--images`` test images, and a random-init default-size model
-as the stage's input (no training). Then, for each repeat and each cap in
-``--rows``, a fresh interpreter sets ``pipeline.ATTACK_ROWS`` to the cap
-and runs ``cmd_immunize`` for danp once, serially, at ``--iterations``
-iterations. Each run reports the process's peak RSS before the stage and
-after it (``ru_maxrss``), and the stage's seconds per image-iteration. The
-table gives the median over repeats per cap; the caps of one repeat run
-back to back, so the host's drift spreads over all of them alike.
+as the stage's input (no training). A cap runs a first lockstep chunk of
+min(cap, images) images at max(1, cap // chunk) timesteps per pass, at most
+all of them, so caps at or above ``--images`` can run the same rows per
+pass; each distinct row count is measured once, at the first cap that runs
+it. For each repeat and each measured cap, a fresh interpreter sets
+``pipeline.ATTACK_ROWS`` to the cap and runs ``cmd_immunize`` for danp
+once, serially, at ``--iterations`` iterations. Each run reports the
+process's peak RSS before the stage and after it (``ru_maxrss``), and the
+stage's seconds per image-iteration. The table gives every cap with the
+rows per pass it runs and the median over repeats of its row count; the
+caps of one repeat run back to back, so the host's drift spreads over all
+of them alike.
 """
 
 from __future__ import annotations
@@ -36,9 +41,17 @@ def _config(out_dir, images, iterations, seed):
                             attack=AttackConfig(iterations=iterations))
 
 
+def rows_per_pass(cap, images, timesteps):
+    """Taped rows of the stage's first model pass at a cap: a chunk of
+    min(cap, images) images at max(1, cap // chunk) of the timesteps."""
+    chunk = min(cap, images)
+    return chunk * min(max(1, cap // chunk), timesteps)
+
+
 def _prepare(cfg):
     """The dataset and a random-init default-size model, as stage inputs."""
-    from imukit.diffusion import DenoiserModel, save_model
+    from imukit.diffusion.io import save_model
+    from imukit.diffusion.model import DenoiserModel
     from imukit.harness import pipeline
 
     pipeline.cmd_gen_data(cfg)
@@ -81,15 +94,23 @@ def main(argv=None):
         measure(args.measure, args.out, args.images, args.iterations, args.seed)
         return 0
 
+    from imukit.attack import resolve_timesteps
+
     caps = [int(r) for r in args.rows.split(",")]
-    results = {r: [] for r in caps}
     with tempfile.TemporaryDirectory(prefix="attack_rows_") as out:
-        _prepare(_config(out, args.images, args.iterations, args.seed))
+        cfg = _config(out, args.images, args.iterations, args.seed)
+        timesteps = len(resolve_timesteps(cfg.attack, cfg.model.build()[1]))
+        rows_of = {cap: rows_per_pass(cap, args.images, timesteps) for cap in caps}
+        first_cap = {}
+        for cap in caps:
+            first_cap.setdefault(rows_of[cap], cap)
+        results = {rows: [] for rows in first_cap}
+        _prepare(cfg)
         for _ in range(args.repeats):
-            for rows in caps:
+            for rows, cap in first_cap.items():
                 run = subprocess.run(
                     [sys.executable, str(Path(__file__).resolve()),
-                     "--measure", str(rows), "--out", out,
+                     "--measure", str(cap), "--out", out,
                      "--images", str(args.images), "--iterations", str(args.iterations),
                      "--seed", str(args.seed)],
                     check=True, capture_output=True, text=True)
@@ -97,12 +118,17 @@ def main(argv=None):
 
     print(f"immunize stage, danp, {args.images} images x {args.iterations} "
           f"iterations, default model, medians of {args.repeats} fresh processes")
-    print(f"{'rows':>4}  {'before MiB':>10}  {'peak MiB':>9}  {'ms/image-iter':>13}")
-    for rows in caps:
-        rs = results[rows]
-        print(f"{rows:>4}  {statistics.median(r['before_mib'] for r in rs):>10.1f}  "
+    print(f"{'cap':>4}  {'rows/pass':>9}  {'before MiB':>10}  {'peak MiB':>9}  "
+          f"{'ms/image-iter':>13}")
+    for cap in caps:
+        rs = results[rows_of[cap]]
+        same = "" if first_cap[rows_of[cap]] == cap else \
+            f"  (measured at cap {first_cap[rows_of[cap]]})"
+        print(f"{cap:>4}  {rows_of[cap]:>9}  "
+              f"{statistics.median(r['before_mib'] for r in rs):>10.1f}  "
               f"{statistics.median(r['peak_mib'] for r in rs):>9.1f}  "
-              f"{1000 * statistics.median(r['s_per_image_iter'] for r in rs):>13.1f}")
+              f"{1000 * statistics.median(r['s_per_image_iter'] for r in rs):>13.1f}"
+              f"{same}")
     return 0
 
 

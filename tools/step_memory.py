@@ -115,7 +115,8 @@ def _report(label, held, fwd_peak, rows):
 
 
 def _default_model(seed):
-    from imukit.diffusion import DenoiserModel, ModelConfig, build_schedule
+    from imukit.diffusion.model import DenoiserModel, ModelConfig
+    from imukit.diffusion.schedule import build_schedule
 
     return DenoiserModel.init(ModelConfig(), seed=seed, schedule=build_schedule(50))
 
