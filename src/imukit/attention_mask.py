@@ -18,7 +18,7 @@ import numpy as np
 
 from imukit import autodiff as ad
 from imukit.autodiff import Tensor
-from imukit.ppm import write_heatmap_ppm
+from imukit.ppm import atomic_write, write_heatmap_ppm
 
 
 class DegenerateHistogramError(ValueError):
@@ -240,6 +240,6 @@ def dump_debug(agg, mask, prefix):
         "timestep": mask.timestep,
         "ones": mask.ones,
     }
-    with open(f"{prefix}.json", "w", encoding="utf-8") as f:
+    with atomic_write(f"{prefix}.json", "w", encoding="utf-8") as f:
         json.dump(sidecar, f, sort_keys=True, indent=2)
         f.write("\n")

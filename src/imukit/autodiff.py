@@ -14,8 +14,8 @@ first axis, and one image is a batch of one.
 A product of frozen weights (requires_grad False) with rows flattened across
 the images of a batch runs one gemm per image, at the single-image shape.
 OpenBLAS picks its gemm kernel by row count, so one gemm over all images'
-rows can give a row other bits than the same image alone (dec1's K=56
-contraction does from B=3 on); per image, a row's bits do not depend on the
+rows can give a row other bits than the same image alone (dec1's K=32
+product does from B=21 on); per image, a row's bits do not depend on the
 rows that share its batch. Trainable weights keep one gemm over the batch.
 
 The tape holds gradient keys, not tensors. A recorded op's output gets a
@@ -23,16 +23,16 @@ key; its node holds that key, its parents' keys (a reshape view maps to its
 base's key and shape) and the vjp closure. Each closure captures only the
 arrays its parents' gradients read, for the parents that need gradients when
 the op runs, so an output nothing reads for backward is freed as soon as the
-forward code drops it. With frozen weights, dense and dense_silu keep no
-input and attention_probs keeps the probabilities and k^T only; a recorded
-dense_silu keeps one array, its derivative.
+forward code drops it. With frozen weights, dense, dense_silu and
+upsample_dense_silu keep no input, attention_probs only the probabilities
+and k^T; a recorded silu op keeps one array, its derivative.
 
 Backward consumes its tape, so each vjp runs once and may drop what it
-keeps at its last read. The trainable dense and dense_silu vjp takes its
-weight gradient (with the bias and time-embedding column sums) first, drops
-the kept input, and only then allocates the input gradient, so the input
-and its gradient are never alive together (tools/step_memory.py shows the
-held memory and peak per backward node).
+keeps at its last read. Each trainable affine vjp (in dense, dense_silu
+and upsample_dense_silu) takes its weight gradient (with the bias and
+time-embedding column sums) first, drops the kept input, and only then
+allocates the input gradient, so the input and its gradient are never alive
+together (tools/step_memory.py shows the held memory and peak per node).
 
 Importing this module sets glibc's malloc policy for the whole process:
 freed blocks up to 32 MiB (glibc's 64-bit cap on M_MMAP_THRESHOLD) come
@@ -66,15 +66,14 @@ __all__ = [
     "Tensor", "Tape", "ShapeMismatchError", "NonFiniteError", "GradientError",
     "add", "sub", "mul", "matmul", "dense", "dense_silu", "attention_probs",
     "attend", "scale", "sum_", "mean_", "square", "reshape", "concat",
-    "upsample2x", "upsample_concat", "avgpool2x", "frobenius_sq",
+    "upsample2x", "upsample_dense_silu", "avgpool2x", "frobenius_sq",
     "l2_sq_distance",
 ]
 
 _F32 = np.float32
 _F64 = np.float64
 
-# rows per block of a recorded dense_silu's activation and derivative: the
-# block buffers stay small where full-size ones would add to a pass's peak
+# rows per block of a recorded silu's activation and derivative (_silu_node)
 _BLOCK_ROWS = 2048
 
 _M_TRIM_THRESHOLD = -1
@@ -576,49 +575,21 @@ def _affine_vjp(x, w, b, temb):
     return vjp
 
 
-def dense(x, w, b):
-    """x @ w + b over the last axis of x, as one tape node.
-
-    Same float32 operations in the same order as the unfused
-    reshape/matmul/add/reshape chain, so values and gradients match it bit
-    for bit.
-    """
-    out = _affine("dense", x, w, b, None)
-    out = out.reshape(x.data.shape[:-1] + w.data.shape[1:])
-    return _finish("dense", out, (x, w, b), _affine_vjp(x, w, b, None))
-
-
-def dense_silu(x, w, b, temb=None):
-    """silu(x @ w + b + temb) over the last axis of x, as one tape node.
-
-    Without temb it is silu(x @ w + b); temb is one row for every image or
-    one row per image, as in _affine. Same float32 operations in the
-    same order as the unfused reshape/matmul/add/add/silu chain, so values
-    and gradients match it bit for bit. When the node is recorded, the
-    forward also computes the chain's silu derivative, sig + out * (1 - sig),
-    with the chain's float32 ops, and keeps only that array for backward.
-    One finite check covers every step, because a NaN or Inf in any of them
-    reaches the output.
-    """
-    parents = (x, w, b) if temb is None else (x, w, b, temb)
-    recording = _recording(parents)
-    if recording:
-        # allocated ahead of the product, so the kept array does not land
-        # above the transient ones on the heap
-        d = np.empty((math.prod(x.data.shape[:-1]), w.data.shape[1]), dtype=_F32)
-    y = _affine("dense_silu", x, w, b, temb)
-    out = y.reshape(x.data.shape[:-1] + w.data.shape[1:])
+def _silu_node(op, y, d, shape, parents, pre_vjp):
+    """op's node: silu of the (rows, N) pre-activation y, in place, shaped
+    to shape. d is None unless op is recorded; then the unfused chain's silu
+    derivative, sig + out * (1 - sig), goes into d a block of rows at a time
+    (products and sums commute exactly in IEEE arithmetic), and the vjp
+    hands g * d to pre_vjp, the pre-activation's vjp. One finite check
+    covers every step: a NaN or Inf in any of them reaches the output."""
     vjp = None
-    if not recording:
+    if d is None:
         sig = np.negative(y)
         np.exp(sig, out=sig)
         sig += _F32(1.0)
         np.divide(_F32(1.0), sig, out=sig)
         y *= sig
     else:
-        # a block of rows at a time: sig, out = y * sig and the kept
-        # derivative sig + out * (1 - sig), whose products and sums commute
-        # exactly in IEEE arithmetic
         n = min(_BLOCK_ROWS, len(y))
         sig = np.empty((n, y.shape[1]), dtype=_F32)
         tmp = np.empty_like(sig)
@@ -633,14 +604,90 @@ def dense_silu(x, w, b, temb=None):
             np.subtract(_F32(1.0), s, out=t)
             t *= yb
             np.add(s, t, out=d[i:i + n])
-        d = d.reshape(out.shape)
-        affine_vjp = _affine_vjp(x, w, b, temb)
+        d = d.reshape(shape)
 
         def vjp(g, needs):
             # d is read once, by this call, so it takes the product in place
-            return affine_vjp(np.multiply(g, d, out=d), needs)
+            return pre_vjp(np.multiply(g, d, out=d), needs)
 
-    return _finish("dense_silu", out, parents, vjp)
+    return _finish(op, y.reshape(shape), parents, vjp)
+
+
+def dense(x, w, b):
+    """x @ w + b over the last axis of x, as one tape node.
+
+    Same float32 operations in the same order as the unfused
+    reshape/matmul/add/reshape chain, so values and gradients match it bit
+    for bit.
+    """
+    out = _affine("dense", x, w, b, None)
+    out = out.reshape(x.data.shape[:-1] + w.data.shape[1:])
+    return _finish("dense", out, (x, w, b), _affine_vjp(x, w, b, None))
+
+
+def _derivative_buffer(parents, rows, n):
+    """A recorded silu node's (rows, n) derivative, else None; taken ahead of
+    the product, so the kept array does not land above the transients."""
+    return np.empty((rows, n), dtype=_F32) if _recording(parents) else None
+
+
+def dense_silu(x, w, b, temb=None):
+    """silu(x @ w + b + temb) over the last axis of x, as one tape node.
+
+    Without temb it is silu(x @ w + b); temb is one row for every image or
+    one row per image, as in _affine. Same float32 operations in the
+    same order as the unfused reshape/matmul/add/add/silu chain, so values
+    and gradients match it bit for bit. When the node is recorded, the
+    forward also computes the chain's silu derivative and keeps only that
+    array for backward.
+    """
+    parents = (x, w, b) if temb is None else (x, w, b, temb)
+    d = _derivative_buffer(parents, math.prod(x.data.shape[:-1]), w.data.shape[1])
+    y = _affine("dense_silu", x, w, b, temb)
+    return _silu_node("dense_silu", y, d, x.data.shape[:-1] + w.data.shape[1:],
+                      parents, _affine_vjp(x, w, b, temb))
+
+
+def upsample_dense_silu(low, skip, w, b, temb=None):
+    """dense_silu(concat([upsample2x(low), skip], axis=-1), w, b, temb) as one
+    tape node that never builds the concatenation.
+
+    low is (..., H, W, Cl), skip (..., 2H, 2W, Cs) and w (Cl + Cs, N). As
+    nearest upsampling commutes with a per-pixel affine map, it is
+    silu(upsample2x(low @ w[:Cl] + b + temb) + skip @ w[Cl:]), with that
+    chain's float32 ops in its order, so values and gradients match it bit
+    for bit. A recorded node keeps the silu derivative and, as dense does,
+    what the two products' gradients read.
+    """
+    ld, sd, wd = low.data, skip.data, w.data
+    cl = ld.shape[-1]
+    if (ld.ndim < 3 or sd.ndim != ld.ndim or sd.shape[:-3] != ld.shape[:-3]
+            or sd.shape[-3:-1] != (2 * ld.shape[-3], 2 * ld.shape[-2])
+            or wd.ndim != 2 or wd.shape[0] != cl + sd.shape[-1]):
+        raise ShapeMismatchError("upsample_dense_silu", ld.shape, sd.shape, wd.shape)
+    parents = (low, skip, w, b) if temb is None else (low, skip, w, b, temb)
+    wl, ws = (Tensor._wrap(rows, w.requires_grad) for rows in (wd[:cl], wd[cl:]))
+    d = _derivative_buffer(parents, math.prod(sd.shape[:-1]), wd.shape[1])
+    yl = _affine("upsample_dense_silu", low, wl, b, temb)
+    # upsample2x(yl) joins skip's product as yl's rows repeated along W and
+    # added to both output rows of each pair, so no full-resolution
+    # temporary is built; yl is freed before the product is allocated
+    rows2 = np.repeat(yl.reshape(ld.shape[:-1] + wd.shape[1:]), 2, axis=-2)
+    del yl
+    y = _rows_matmul(sd, ws.data, w.requires_grad)
+    pairs = y.reshape(rows2.shape[:-2] + (2,) + rows2.shape[-2:])
+    pairs += rows2[..., None, :, :]
+    del rows2, pairs
+    low_vjp = _affine_vjp(low, wl, b, temb)
+    skip_vjp = _affine_vjp(skip, ws, b, None)
+
+    def pre_vjp(gy, needs):
+        gl, gwl, *gbt = low_vjp(_sum2x2(gy).astype(_F32), needs[:1] + needs[2:])
+        gs, gws, _ = skip_vjp(gy, needs[1:3] + (False,))
+        return (gl, gs, None if gws is None else np.concatenate([gwl, gws]), *gbt)
+
+    return _silu_node("upsample_dense_silu", y, d, sd.shape[:-1] + wd.shape[1:],
+                      parents, pre_vjp)
 
 
 def _row_max(y):
@@ -938,29 +985,6 @@ def upsample2x(x):
         return (_sum2x2(g).astype(_F32) if needs[0] else None,)
 
     return _finish("upsample2x", out, (x,), vjp, check=False)
-
-
-def upsample_concat(low, skip):
-    """concat([upsample2x(low), skip], axis=-1) as one tape node.
-
-    Both parts are written straight into one output buffer; low is
-    (..., H, W, C1) and skip (..., 2H, 2W, C2).
-    """
-    ld, sd = low.data, skip.data
-    if (ld.ndim < 3 or sd.ndim != ld.ndim or sd.shape[:-3] != ld.shape[:-3]
-            or sd.shape[-3:-1] != (2 * ld.shape[-3], 2 * ld.shape[-2])):
-        raise ShapeMismatchError("upsample_concat", ld.shape, sd.shape)
-    h, w, cl = ld.shape[-3:]
-    out = np.empty(sd.shape[:-1] + (cl + sd.shape[-1],), dtype=_F32)
-    blocks = out.reshape(ld.shape[:-3] + (h, 2, w, 2, out.shape[-1]))
-    blocks[..., :cl] = ld[..., :, None, :, None, :]
-    out[..., cl:] = sd
-
-    def vjp(g, needs):
-        return (_sum2x2(g[..., :cl]).astype(_F32) if needs[0] else None,
-                g[..., cl:] if needs[1] else None)
-
-    return _finish("upsample_concat", out, (low, skip), vjp, check=False)
 
 
 def avgpool2x(x):

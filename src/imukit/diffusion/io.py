@@ -12,14 +12,14 @@ import numpy as np
 from imukit.autodiff import Tensor
 from imukit.diffusion.model import DenoiserModel, ModelConfig, _param_specs
 from imukit.diffusion.schedule import build_schedule
-from imukit.ppm import ArtifactError
+from imukit.ppm import ArtifactError, atomic_write
 
 _FORMAT = "imukit-weights-v1"
 
 
 def write_container(path, header, arrays):
     """header as one sorted-key JSON line, then each array as "<f4" bytes."""
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         f.write(b"\n")
         for arr in arrays:

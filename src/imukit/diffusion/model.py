@@ -2,9 +2,9 @@
 
 Encoder runs at full, half, and quarter resolution (avgpool between levels)
 with per-pixel dense channel mixing; cross-attention against the caption
-embedding sits at the half and quarter levels; the decoder mirrors the
-encoder with nearest-neighbor upsampling and skip concatenation. Everything
-is built from autodiff primitives so the attack loop gets exact gradients.
+embedding sits at the half and quarter levels; each decoder level is one
+dense layer over the upsampled level below and the encoder's skip. It is
+all built from autodiff primitives so the attack loop gets exact gradients.
 """
 
 from __future__ import annotations
@@ -30,9 +30,15 @@ class ModelConfig:
     max_tokens: int = MAX_TOKENS
 
     def __post_init__(self):
-        if self.image_size % 4 != 0:
-            raise ValueError(f"image_size must be divisible by 4, got {self.image_size}")
         object.__setattr__(self, "widths", tuple(self.widths))
+        if self.image_size < 4 or self.image_size % 4 != 0:
+            raise ValueError(f"image_size must be a positive multiple of 4, got {self.image_size}")
+        if len(self.widths) != 3 or min(self.widths) < 1:
+            raise ValueError(f"widths must be three channel counts >= 1, got {list(self.widths)}")
+        if self.d_k < 1 or self.d_text < 1:
+            raise ValueError(f"d_k and d_text must be >= 1, got {self.d_k} and {self.d_text}")
+        if self.d_time < 2 or self.d_time % 2:
+            raise ValueError(f"d_time must be even and >= 2, got {self.d_time}")
 
 
 @dataclass
@@ -196,9 +202,13 @@ class DenoiserModel:
             record.per_block.append(ad.reshape(attn, x4.shape[:3] + attn.shape[-1:]))
         return ad.attend(x4, attn, pm, self.params[prefix + "_v"])
 
-    def _level(self, x4, t, prefix):
-        return ad.dense_silu(x4, self.params[prefix + "_w"], self.params[prefix + "_b"],
-                             self._temb(t, prefix))
+    def _level(self, x4, t, prefix, skip=None):
+        # given a skip, a decoder level on upsample2x(x4) and the skip
+        args = (self.params[prefix + "_w"], self.params[prefix + "_b"],
+                self._temb(t, prefix))
+        if skip is None:
+            return ad.dense_silu(x4, *args)
+        return ad.upsample_dense_silu(x4, skip, *args)
 
     # -- forward --------------------------------------------------------------
 
@@ -246,14 +256,10 @@ class DenoiserModel:
         """
         record = AttentionRecord() if capture_attention else None
         h0, h1, h2 = self.encode(xb, t, pm, record)
-        # drop each skip once its decoder input is built, so the peak of an
-        # untaped forward holds no dead buffer (a tape keeps what it needs)
-        x = ad.upsample_concat(h2, h1)
+        # drop each level's inputs once it has run, so the peak of an untaped
+        # forward holds no dead buffer (a tape keeps what it needs)
+        d1 = self._level(h2, t, "dec1", skip=h1)
         del h1, h2
-        d1 = self._level(x, t, "dec1")
-        del x
-        x = ad.upsample_concat(d1, h0)
+        d0 = self._level(d1, t, "dec0", skip=h0)
         del d1, h0
-        d0 = self._level(x, t, "dec0")
-        del x
         return ad.dense(d0, self.params["head_w"], self.params["head_b"]), record

@@ -8,8 +8,8 @@ from imukit.autodiff import Tensor
 from imukit.diffusion.schedule import forward_diffuse
 
 # Rows per forward_batch call in edit_batch. An untaped forward's peak grows
-# by about 312 KiB per row: evaluate's stage peaks at about 40.7 MiB with
-# one-row edits, 42.1 MiB at 6 rows (within 5%) and 43.0 MiB at 8 (not).
+# by about 232 KiB per row: evaluate's stage peaks at about 41.6 MiB with
+# one-row edits, 43.0 MiB at 6 rows (within 5%) and 43.8 MiB at 8 (not).
 EDIT_ROWS = 6
 
 

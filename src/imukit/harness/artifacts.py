@@ -7,7 +7,7 @@ import json
 import numpy as np
 
 from imukit.diffusion.io import read_container, write_container
-from imukit.ppm import ArtifactError
+from imukit.ppm import ArtifactError, atomic_write
 
 _DELTA_FORMAT = "imukit-delta-v1"
 
@@ -26,7 +26,7 @@ def read_delta(path):
 
 
 def write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, sort_keys=True, indent=2)
         f.write("\n")
 

@@ -35,7 +35,7 @@ from imukit.harness.config import (
 )
 from imukit.harness.tables import METRIC_NAMES, aggregate_rows, write_csv, write_results
 from imukit.metrics import full_report
-from imukit.ppm import ArtifactError, read_ppm, write_ppm
+from imukit.ppm import ArtifactError, atomic_write, read_ppm, write_ppm
 
 # The stages attack through immunize_batch; immunize stays bound and exported
 # because the benchmark's traced run wraps the attack under this module's
@@ -731,7 +731,7 @@ def cmd_report(cfg):
                          + f" {row['time_per_iter_s']:>13.6f}")
     lines.append("")
     text = "\n".join(lines)
-    with open(paths.summary_txt, "w", encoding="utf-8") as f:
+    with atomic_write(paths.summary_txt, "w", encoding="utf-8") as f:
         f.write(text)
     write_json(paths.report_json, {
         "config_hash": h,

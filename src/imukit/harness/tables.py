@@ -8,6 +8,7 @@ import numpy as np
 
 from imukit.harness.artifacts import write_json
 from imukit.metrics import DEFENSE_DIRECTIONS
+from imukit.ppm import atomic_write
 
 METRIC_NAMES = ("psnr", "ssim", "vifp", "percep_dist")
 
@@ -25,7 +26,7 @@ def _fmt(v):
 
 
 def write_csv(path, columns, rows):
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(columns)
         for row in rows:

@@ -1,4 +1,4 @@
-"""Binary PPM (P6) image I/O.
+"""Binary PPM (P6) image I/O, and the crash-safe write every artifact takes.
 
 Images travel through the pipeline as float32 (H, W, 3) arrays in [0, 1];
 on disk they are 8-bit binary PPM. Round-trips are exact for values on the
@@ -7,11 +7,30 @@ k/255 grid.
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 
 
 class ArtifactError(ValueError):
     """An input artifact's content is corrupt; the message starts with its path."""
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode, **kwargs):
+    """open(path, mode, **kwargs) for writing into a temporary file in path's
+    directory, which os.replace moves onto path once the block exits; if the
+    block raises, path is left as it was and the temporary file removed."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_ppm(path, img):
@@ -21,7 +40,7 @@ def write_ppm(path, img):
         raise ValueError(f"write_ppm: expected (H, W, 3), got {img.shape}")
     h, w = img.shape[:2]
     data = np.clip(np.rint(img.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(data.tobytes())
 

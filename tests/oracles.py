@@ -6,8 +6,8 @@ package) so that the h=1e-3 central difference is not polluted by float32
 forward rounding. Production analytic gradients are compared against these.
 
 The package's fused ops are checked bit for bit against chains of unfused
-tape ops. The silu, softmax and transpose steps of those chains have no
-other use, so they live here, recorded through the package's own tape. So
+tape ops. The silu, softmax, transpose and row_slice steps of those chains
+have no other use, so they live here, recorded through the package's own tape. So
 does reverse_step, one ancestral step of one image, the oracle that edit's
 lockstep chain is checked against.
 """
@@ -63,6 +63,21 @@ def transpose(x, axes=None):
         return (np.transpose(g, inv) if needs[0] else None,)
 
     return _finish("transpose", np.transpose(xd, perm), (x,), vjp, check=False)
+
+
+def row_slice(x, start, stop):
+    """x's rows start:stop along its first axis; its gradient is zero
+    outside them."""
+    xd = x.data
+
+    def vjp(g, needs):
+        if not needs[0]:
+            return (None,)
+        gx = np.zeros(xd.shape, dtype=np.float32)
+        gx[start:stop] = g
+        return (gx,)
+
+    return _finish("row_slice", xd[start:stop], (x,), vjp, check=False)
 
 
 # ---------------------------------------------------------------------------

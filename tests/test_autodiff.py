@@ -8,7 +8,9 @@ from imukit import autodiff as ad
 from imukit.autodiff import (
     GradientError, NonFiniteError, ShapeMismatchError, Tape, Tensor,
 )
-from oracles import REFERENCE_OPS, fd_agreement, numeric_grad, silu, softmax, transpose
+from oracles import (
+    REFERENCE_OPS, fd_agreement, numeric_grad, row_slice, silu, softmax, transpose,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -321,10 +323,13 @@ def _dense_silu_operands(gen, lead, c_in, c_out):
             (gen.normal(size=(c_out,)) * 0.5).astype(np.float32))
 
 
-def _unfused_dense(x, w, b):
-    flat = ad.reshape(x, (-1, x.shape[-1]))
-    y = ad.add(ad.matmul(flat, w), b)
+def _rows_product(x, w):
+    y = ad.matmul(ad.reshape(x, (-1, x.shape[-1])), w)
     return ad.reshape(y, x.shape[:-1] + (y.shape[-1],))
+
+
+def _unfused_dense(x, w, b):
+    return ad.add(_rows_product(x, w), b)
 
 
 def _unfused_dense_silu(x, w, b, temb):
@@ -357,19 +362,22 @@ def test_dense_silu_fd_all_parents():
     _fd_each_parent(ad.dense_silu, ref, [x, w, b, temb], (2, 3, 3, 5))
 
 
-def _assert_fused_is_chain(fused_fn, chain_fn, arrays, gen):
+def _assert_fused_is_chain(fused_fn, chain_fn, arrays, gen, needs=None):
     """fused_fn and chain_fn give the same output and parent gradients, bit
-    for bit, with every parent trainable."""
+    for bit, where a parent needs a gradient if needs marks it (by default
+    every parent does)."""
+    needs = needs or (True,) * len(arrays)
     results = []
     for fn in (fused_fn, chain_fn):
-        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        ts = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs)]
         with Tape() as tape:
             out = fn(*ts)
             if not results:
                 gout = Tensor(gen.normal(size=out.shape).astype(np.float32))
             loss = ad.sum_(ad.mul(out, gout))
         grads = tape.backward(loss)
-        results.append((out.data, [grads[t] for t in ts]))
+        assert set(grads) == {t for t in ts if t.requires_grad}
+        results.append((out.data, [grads[t] for t in ts if t.requires_grad]))
     (fused, fused_grads), (chain, chain_grads) = results
     assert fused.shape == chain.shape
     assert np.array_equal(fused, chain)
@@ -380,8 +388,8 @@ def _assert_fused_is_chain(fused_fn, chain_fn, arrays, gen):
 
 @pytest.mark.parametrize("lead,c_in,c_out", [
     ((1, 32, 32), 9, 16),       # enc0 at B=1, as in the attack
-    ((64, 16, 16), 56, 24),     # dec1 at a training batch
-    ((64, 32, 32), 40, 16),     # dec0 at a training batch
+    ((64, 16, 16), 56, 24),     # a K=56 contraction at a training batch
+    ((64, 32, 32), 40, 16),     # 40 channels in at a training batch
 ])
 def test_dense_silu_bitwise_matches_unfused_chain(lead, c_in, c_out):
     gen = np.random.default_rng(77)
@@ -443,7 +451,7 @@ def test_dense_silu_without_temb_matches_unfused_chain():
 
 
 # ---------------------------------------------------------------------------
-# cross-attention (attention_probs + attend) and upsample_concat
+# cross-attention (attention_probs + attend)
 # ---------------------------------------------------------------------------
 
 def _attention_operands(gen, lead, c, s, d, dk):
@@ -469,10 +477,6 @@ def _unfused_attend(x, attn, pm, wv):
     return ad.add(x, ad.reshape(ad.matmul(attn, v), x.shape))
 
 
-def _unfused_upsample_concat(low, skip):
-    return ad.concat([ad.upsample2x(low), skip], axis=-1)
-
-
 def _ref_attention_probs(x, pm, wq, wk, scale):
     q = x.reshape(x.shape[0], -1, x.shape[-1]) @ wq
     return REFERENCE_OPS["softmax"](q @ (pm @ wk).transpose(0, 2, 1) * scale)
@@ -492,16 +496,6 @@ def test_attend_fd_all_parents():
     x, pm, _, _, wv = _attention_operands(RNG, (2, 3, 2), 4, 5, 3, 3)
     attn = REFERENCE_OPS["softmax"](RNG.normal(size=(2, 6, 5))).astype(np.float32)
     _fd_each_parent(ad.attend, _ref_attend, [x, attn, pm, wv], (2, 3, 2, 4))
-
-
-def test_upsample_concat_fd_all_parents():
-    low = RNG.normal(size=(2, 2, 3, 4)).astype(np.float32)
-    skip = RNG.normal(size=(2, 4, 6, 3)).astype(np.float32)
-
-    def ref(lv, sv):
-        return np.concatenate([REFERENCE_OPS["upsample2x"](lv), sv], axis=-1)
-
-    _fd_each_parent(ad.upsample_concat, ref, [low, skip], (2, 4, 6, 7))
 
 
 def _run_block(fused, arrays, gouts, scale, needs_grad):
@@ -544,27 +538,6 @@ def test_cross_attention_bitwise_matches_unfused_chain(lead, c, trainable):
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("low_shape,c_skip", [((1, 8, 8, 32), 24), ((64, 16, 16, 24), 16)])
-def test_upsample_concat_bitwise_matches_unfused_chain(low_shape, c_skip):
-    gen = np.random.default_rng(80)
-    b, h, w, _ = low_shape
-    arrays = (gen.normal(size=low_shape).astype(np.float32),
-              gen.normal(size=(b, 2 * h, 2 * w, c_skip)).astype(np.float32))
-    gout = gen.normal(size=(b, 2 * h, 2 * w, low_shape[-1] + c_skip)).astype(np.float32)
-    results = []
-    for fn in (ad.upsample_concat, _unfused_upsample_concat):
-        ts = [Tensor(a, requires_grad=True) for a in arrays]
-        with Tape() as tape:
-            out = fn(*ts)
-            loss = ad.sum_(ad.mul(out, Tensor(gout)))
-        grads = tape.backward(loss)
-        results.append((out.data, [grads[t] for t in ts]))
-    (fused, fused_grads), (chain, chain_grads) = results
-    assert np.array_equal(fused, chain)
-    for gf, gc in zip(fused_grads, chain_grads):
-        assert np.array_equal(gf, gc)
-
-
 def test_fused_attention_ops_name_themselves_on_nan():
     x, pm, wq, wk, wv = _attention_operands(RNG, (1, 2, 2), 4, 3, 5, 2)
     bad = Tensor(x)
@@ -589,8 +562,82 @@ def test_fused_attention_shape_errors():
         ad.attend(x, Tensor(attn.data[:, :3]), pm, wv)
     with pytest.raises(ShapeMismatchError):
         ad.attend(x, attn, pm, Tensor(wv.data[:, :3]))
+
+
+# ---------------------------------------------------------------------------
+# upsample_dense_silu: a decoder level without its skip concatenation
+# ---------------------------------------------------------------------------
+
+def _up_operands(gen, low_shape, c_skip, c_out):
+    b, h, w, c_low = low_shape
+    c_in = c_low + c_skip
+    return (gen.normal(size=low_shape).astype(np.float32),
+            gen.normal(size=(b, 2 * h, 2 * w, c_skip)).astype(np.float32),
+            (gen.normal(size=(c_in, c_out)) / np.sqrt(c_in)).astype(np.float32),
+            (gen.normal(size=(c_out,)) * 0.1).astype(np.float32),
+            (gen.normal(size=(c_out,)) * 0.5).astype(np.float32))
+
+
+def _unfused_upsample_dense_silu(low, skip, w, b, temb):
+    """The fused op's chain: low's rows multiplied by w's first rows at
+    their own resolution, biased, upsampled and added to skip's product."""
+    cl = low.shape[-1]
+    yl = ad.add(_unfused_dense(low, row_slice(w, 0, cl), b), temb)
+    ys = _rows_product(skip, row_slice(w, cl, w.shape[0]))
+    return silu(ad.add(ys, ad.upsample2x(yl)))
+
+
+def _ref_upsample_dense_silu(lv, sv, wv, bv, tv):
+    x = np.concatenate([REFERENCE_OPS["upsample2x"](lv), sv], axis=-1)
+    return REFERENCE_OPS["silu"](x @ wv + bv + tv)
+
+
+def test_upsample_dense_silu_fd_all_parents():
+    """Each parent's gradient against float64 finite differences of the
+    silu of the concatenated input's affine map, with a shared temb and
+    with one temb row per image."""
+    arrays = list(_up_operands(RNG, (2, 2, 3, 4), 3, 5))
+    _fd_each_parent(ad.upsample_dense_silu, _ref_upsample_dense_silu, arrays,
+                    (2, 4, 6, 5))
+    arrays[4] = (RNG.normal(size=(2, 1, 1, 5)) * 0.5).astype(np.float32)
+    _fd_each_parent(ad.upsample_dense_silu, _ref_upsample_dense_silu, arrays,
+                    (2, 4, 6, 5))
+
+
+@pytest.mark.parametrize("low_shape,c_skip,c_out,trainable", [
+    ((1, 8, 8, 32), 24, 24, False),   # dec1 in the attack: inputs need gradients
+    ((1, 8, 8, 32), 24, 24, True),
+    ((64, 16, 16, 24), 16, 16, True),  # dec0 at a training batch
+])
+def test_upsample_dense_silu_bitwise_matches_unfused_chain(low_shape, c_skip, c_out,
+                                                           trainable):
+    gen = np.random.default_rng(80)
+    _assert_fused_is_chain(ad.upsample_dense_silu, _unfused_upsample_dense_silu,
+                           _up_operands(gen, low_shape, c_skip, c_out), gen,
+                           needs=(True, True) + (trainable,) * 3)
+
+
+def test_upsample_dense_silu_untaped_matches_recorded():
+    gen = np.random.default_rng(81)
+    arrays = _up_operands(gen, (3, 8, 8, 32), 24, 24)
+    untaped = ad.upsample_dense_silu(*(Tensor(a) for a in arrays))
+    with Tape() as tape:
+        recorded = ad.upsample_dense_silu(*(Tensor(a, requires_grad=True) for a in arrays))
+    assert len(tape.nodes) == 1
+    assert untaped.data.tobytes() == recorded.data.tobytes()
+
+
+def test_upsample_dense_silu_shape_errors():
+    low, skip, w, b, temb = (Tensor(a) for a in _up_operands(RNG, (1, 2, 2, 3), 3, 4))
+    with pytest.raises(ShapeMismatchError) as err:
+        ad.upsample_dense_silu(low, Tensor(np.zeros((1, 4, 5, 3))), w, b, temb)
+    assert err.value.op == "upsample_dense_silu"
     with pytest.raises(ShapeMismatchError):
-        ad.upsample_concat(Tensor(np.zeros((1, 2, 2, 3))), Tensor(np.zeros((1, 4, 5, 3))))
+        ad.upsample_dense_silu(low, Tensor(np.zeros((2, 4, 4, 3))), w, b, temb)
+    with pytest.raises(ShapeMismatchError):
+        ad.upsample_dense_silu(low, skip, Tensor(w.data[1:]), b, temb)
+    with pytest.raises(ShapeMismatchError):
+        ad.upsample_dense_silu(low, skip, w, b, Tensor(temb.data[None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +659,7 @@ def _kept(vjp):
 def _kept_shapes(tape, weights):
     """Shapes of what the last node keeps, weights left out."""
     return sorted(a.shape for a in _kept(tape.nodes[-1].vjp)
-                  if not any(a is w.data for w in weights))
+                  if not any(a is w.data or a.base is w.data for w in weights))
 
 
 def test_frozen_ops_keep_only_what_the_input_gradient_reads():
@@ -629,6 +676,17 @@ def test_frozen_ops_keep_only_what_the_input_gradient_reads():
         ad.attention_probs(xa, pm, wq, wk, 0.5)
         # the probabilities and k^T; not the flattened input, q or pm
         assert _kept_shapes(tape, (wq, wk)) == [(2, 2, 6), (2, 16, 6)]
+        low, skip, wu, bu, tu = (Tensor(a) for a in _up_operands(gen, (2, 2, 2, 3), 4, 5))
+        low.requires_grad = skip.requires_grad = True
+        ad.upsample_dense_silu(low, skip, wu, bu, tu)
+        # the derivative, besides w's row blocks
+        assert _kept_shapes(tape, (wu,)) == [(2, 4, 4, 5)]
+        low.requires_grad = skip.requires_grad = False
+        for p in (wu, bu, tu):
+            p.requires_grad = True
+        ad.upsample_dense_silu(low, skip, wu, bu, tu)
+        # w's gradient reads low and skip; nothing 7 channels wide is kept
+        assert _kept_shapes(tape, ()) == [(2, 2, 2, 3), (2, 4, 4, 4), (2, 4, 4, 5)]
 
 
 def test_tape_frees_an_output_once_the_forward_drops_it():

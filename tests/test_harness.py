@@ -850,6 +850,28 @@ def test_cli_rejects_train_values_before_writing(tmp_path, key, value):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("widths", [16, 24]), ("widths", [16, 0, 8]), ("d_time", 31), ("d_k", 0),
+    ("image_size", 0),
+])
+def test_cli_rejects_unbuildable_models_before_writing(tmp_path, tiny_model, key, value):
+    """A model config the denoiser cannot build is a config error (exit 2)
+    before gen-data writes anything, and a corrupt artifact when it is
+    read from a model.bin header."""
+    d = tiny_experiment(tmp_path / "runs").to_dict()
+    d["model"][key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(d))
+    assert main(["gen-data", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "runs").exists()
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    _rewrite_header(path, lambda header: header["config"].update({key: value}))
+    with pytest.raises(ArtifactError) as err:
+        load_model(path)
+    assert str(path) in str(err.value) and key in str(err.value)
+
+
 def test_run_tree_diff_compare_rejects_missing_and_empty_trees(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location(
         "run_tree_diff", Path(__file__).resolve().parents[1] / "tools" / "run_tree_diff.py")

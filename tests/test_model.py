@@ -11,7 +11,7 @@ from imukit.diffusion.schedule import build_schedule
 from imukit.diffusion.text import PAD_ID
 from imukit.metrics import percep_features
 from oracle_forward import oracle_forward
-from oracles import silu, softmax, transpose
+from oracles import row_slice, silu, softmax, transpose
 
 
 PROMPT_IDS = (1, 17, 20, 4, 21, 0, 0, 0)
@@ -189,6 +189,25 @@ def _unfused_dense(model, x4, w, b):
     return ad.reshape(y, (bsz, h, wd, y.shape[-1]))
 
 
+def _unfused_rows(model, x4, w):
+    """x4's rows times w: with frozen weights one gemm per image, as the
+    fused levels run them."""
+    bsz, k = x4.shape[0], x4.shape[-1]
+    lead = (bsz, -1) if not model.trainable and bsz > 1 else (-1,)
+    y = ad.matmul(ad.reshape(x4, lead + (k,)), w)
+    return ad.reshape(y, x4.shape[:-1] + (y.shape[-1],))
+
+
+def _unfused_decoder_level(model, low, skip, t, prefix):
+    """silu(upsample2x(low @ w[:cl] + b + temb) + skip @ w[cl:])."""
+    w = model.params[prefix + "_w"]
+    cl = low.shape[-1]
+    yl = ad.add(ad.add(_unfused_rows(model, low, row_slice(w, 0, cl)),
+                       model.params[prefix + "_b"]), model._temb(t, prefix))
+    ys = _unfused_rows(model, skip, row_slice(w, cl, w.shape[0]))
+    return silu(ad.add(ys, ad.upsample2x(yl)))
+
+
 def _unfused_forward(model, xb, t, pm, maps):
     """DenoiserModel.forward_batch written with one primitive per step."""
     size = model.config.image_size
@@ -201,8 +220,8 @@ def _unfused_forward(model, xb, t, pm, maps):
     h1 = _unfused_cross_attention(model, h1, pm, "attn1", maps)
     h2 = model._level(ad.avgpool2x(h1), t, "enc2")
     h2 = _unfused_cross_attention(model, h2, pm, "attn2", maps)
-    d1 = model._level(ad.concat([ad.upsample2x(h2), h1], axis=-1), t, "dec1")
-    d0 = model._level(ad.concat([ad.upsample2x(d1), h0], axis=-1), t, "dec0")
+    d1 = _unfused_decoder_level(model, h2, h1, t, "dec1")
+    d0 = _unfused_decoder_level(model, d1, h0, t, "dec0")
     return _unfused_dense(model, d0, "head_w", "head_b")
 
 
@@ -260,7 +279,7 @@ def _unfused_temb(model, t, prefix):
 def test_temb_is_one_dense_node_matching_the_unfused_chain():
     """On a trainable model each level's time projection is one dense node
     with the value and _t/_tb gradients of the matmul + add + reshape chain,
-    so a forward records 20 nodes (25 with the chain)."""
+    so a forward records 18 nodes (23 with the chain)."""
     gen = np.random.default_rng(91)
     model = DenoiserModel.init(ModelConfig(), seed=5, schedule=build_schedule(50))
     prefixes = ("enc0", "enc1", "enc2", "dec1", "dec0")
@@ -290,7 +309,7 @@ def test_temb_is_one_dense_node_matching_the_unfused_chain():
     pm = Tensor(gen.normal(size=(2, 8, 16)))
     with Tape() as tape:
         model.forward_batch(x, 17, pm)
-    assert len(tape.nodes) == 20
+    assert len(tape.nodes) == 18
 
 
 @pytest.fixture(scope="module")

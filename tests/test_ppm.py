@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from imukit.ppm import read_ppm, write_heatmap_ppm, write_ppm
+from imukit.diffusion.io import write_container
+from imukit.harness.artifacts import write_json
+from imukit.harness.tables import write_csv
+from imukit.ppm import atomic_write, read_ppm, write_heatmap_ppm, write_ppm
 
 
 def test_round_trip_exact_on_grid(tmp_path, rng):
@@ -79,3 +82,39 @@ def test_bad_header_field_names_the_file_and_field(tmp_path, raw, field):
     msg = str(err.value)
     assert str(path) in msg
     assert f"header {field} is not a number" in msg
+
+
+def _raise_inside(path):
+    with atomic_write(path, "wb") as f:
+        f.write(b"partial")
+        raise RuntimeError("interrupted")
+
+
+@pytest.mark.parametrize("write,error", [
+    (_raise_inside, RuntimeError),
+    # each fails after it has written part of the file
+    (lambda path: write_json(path, {"a": 1, "b": object()}), TypeError),
+    (lambda path: write_csv(path, ["a"], [{"a": 1.0}, {}]), KeyError),
+    (lambda path: write_container(path, {"format": "f"}, [np.zeros(3), "x"]), ValueError),
+])
+@pytest.mark.parametrize("old", [None, b"old content"])
+def test_a_write_that_raises_leaves_the_target_as_it_was(tmp_path, write, error, old):
+    """The target keeps its old content, or stays absent, and no temporary
+    file is left beside it."""
+    path = tmp_path / "artifact"
+    if old is not None:
+        path.write_bytes(old)
+    with pytest.raises(error):
+        write(path)
+    assert sorted(tmp_path.iterdir()) == ([] if old is None else [path])
+    assert old is None or path.read_bytes() == old
+
+
+def test_atomic_write_replaces_the_target_whole(tmp_path):
+    path = tmp_path / "img.ppm"
+    path.write_bytes(b"old content")
+    img = np.full((2, 3, 3), 0.5, dtype=np.float32)
+    write_ppm(path, img)
+    assert list(tmp_path.iterdir()) == [path]
+    with open(path, "rb") as f:
+        assert f.read() == b"P6\n3 2\n255\n" + bytes([128] * 18)

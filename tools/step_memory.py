@@ -109,9 +109,9 @@ def _report(label, held, fwd_peak, rows):
     print(f"  backward peak      {bwd_peak / _MIB:8.2f} MiB    "
           f"above held {(bwd_peak - held) / _MIB:6.2f} MiB    "
           f"step peak {max(fwd_peak, bwd_peak) / _MIB:8.2f} MiB")
-    print(f"  {'#':>3}  {'op':<16} {'held MiB':>9} {'peak MiB':>9}")
+    print(f"  {'#':>3}  {'op':<19} {'held MiB':>9} {'peak MiB':>9}")
     for i, (op, after, peak) in enumerate(rows):
-        print(f"  {i:>3}  {op:<16} {after / _MIB:>9.2f} {peak / _MIB:>9.2f}")
+        print(f"  {i:>3}  {op:<19} {after / _MIB:>9.2f} {peak / _MIB:>9.2f}")
 
 
 def _default_model(seed):
