@@ -40,17 +40,19 @@ from the heap instead of their own mappings, and the heap is trimmed only
 once 1 GiB at its top is free. A training step frees multi-MB activations
 and gradients that the next step allocates again; under glibc's defaults
 those pages go back to the OS (unmapped or trimmed) and the next step
-zero-fills them anew, about 14,000 page faults per B=64 step of the default
-model. The policy changes no value. Where the C library has no mallopt
+zero-fills them anew, about 5,000 page faults per B=64 step of the default
+model in 16-row parts (9,700 with one 64-row tape). The policy changes no
+value. Where the C library has no mallopt
 (anything but glibc) or rejects a setting, it does nothing.
 
 Importing it also sets the process's BLAS policy: every OpenBLAS mapped
 into the process runs on one thread, so --jobs N workers run N BLAS threads.
 A second thread buys this package's gemms little speed (B=64 training on a
-2-vCPU Xeon: a median 1212 samples/s at two threads and 1121 at one, inside
-the run-to-run spread) while its buffers add about 12 MiB to training's
-peak RSS. The thread count changes no value. Where no OpenBLAS is mapped or
-none of its set-threads symbols is found, it does nothing.
+2-vCPU Xeon, measured when a step taped all 64 rows at once: a median 1212
+samples/s at two threads and 1121 at one, inside the run-to-run spread)
+while its buffers added about 12 MiB to training's peak RSS. The thread
+count changes no value. Where no OpenBLAS is mapped or none of its
+set-threads symbols is found, it does nothing.
 """
 
 from __future__ import annotations

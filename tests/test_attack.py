@@ -14,6 +14,7 @@ from imukit.attack import (
 )
 from imukit.attention_mask import AggregatedAttention, BinaryMask
 from imukit.autodiff import Tape, Tensor, sum_
+from imukit.diffusion import training
 from imukit.diffusion.model import DenoiserModel, ModelConfig
 from imukit.diffusion.schedule import build_schedule, forward_diffuse
 from imukit.diffusion.training import _mc_loss
@@ -697,16 +698,22 @@ def test_no_vjp_writes_into_its_incoming_gradient(monkeypatch):
         immunize_batch(xs, prompts, model, cfgs, rows=4)
 
 
-def test_step_memory_tool_lists_every_backward_node():
-    """tools/step_memory.py profiles a training step and an attack pass with
-    one row per backward node, in the order the sweep runs them."""
+def test_step_memory_tool_lists_every_backward_node(monkeypatch, capsys):
+    """tools/step_memory.py profiles a training step, in parts of TRAIN_ROWS
+    rows as train runs it, and an attack pass, with one row per backward
+    node of each part, in the order the sweep runs them."""
     spec = importlib.util.spec_from_file_location(
         "step_memory", Path(__file__).resolve().parents[1] / "tools" / "step_memory.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    for run, rows, nodes, first in ((tool.train_step, 2, 22, "mean"),
-                                    (tool.frozen_pass, 1, 33, "sum")):
-        held, fwd_peak, probed = run(rows, 0)
-        assert 0 < held <= fwd_peak
-        assert len(probed) == nodes and probed[0][0] == first
-        assert all(after <= peak for _, after, peak in probed)
+    monkeypatch.setattr(training, "TRAIN_ROWS", 1)
+    for run, rows, n_parts, nodes, first in ((tool.train_step, 2, 2, 23, "scale"),
+                                             (tool.frozen_pass, 2, 1, 33, "sum")):
+        parts = run(rows, 0)
+        assert len(parts) == n_parts
+        for held, fwd_peak, probed in parts:
+            assert 0 < held <= fwd_peak
+            assert len(probed) == nodes and probed[0][0] == first
+            assert all(after <= peak for _, after, peak in probed)
+        tool._report("step", parts)
+        assert capsys.readouterr().out.count("held after forward") == n_parts

@@ -260,6 +260,15 @@ def test_config_validation_errors(tmp_path):
             tiny_experiment(tmp_path, n_unseen=0, edit_prompts=policy)
     tiny_experiment(tmp_path, n_unseen=0)
     tiny_experiment(tmp_path, train={"steps": 1, "lr": 0.0})
+    tiny_experiment(tmp_path, train={"steps": 1, "beta1": 0.0, "beta2": 0.0})
+    # Adam cannot train with these: a zero bias correction or 0/0 in its
+    # update, or a step uphill
+    nan = float("nan")
+    for key, value in (("beta1", 1.0), ("beta1", -0.1), ("beta1", nan), ("beta2", 1.0),
+                       ("beta2", nan), ("adam_eps", 0.0), ("adam_eps", -1e-8),
+                       ("adam_eps", nan), ("lr", -1e-3), ("lr", nan)):
+        with pytest.raises(ConfigError, match=key):
+            tiny_experiment(tmp_path, train={"steps": 1, key: value})
     for timesteps in ([25], [0, 9], [19, 20]):
         with pytest.raises(ConfigError):
             tiny_experiment(tmp_path, attack={"iterations": 4, "timesteps": timesteps})
@@ -840,6 +849,7 @@ def test_cli_rejects_out_of_range_timesteps_before_writing(tmp_path):
 
 @pytest.mark.parametrize("key,value", [
     ("eval_every", 0), ("eval_rounds", 0), ("batch_size", 0), ("steps", 0), ("steps", -3),
+    ("beta1", 1.0), ("beta2", 1.0), ("adam_eps", 0.0), ("lr", -1e-3), ("lr", float("nan")),
 ])
 def test_cli_rejects_train_values_before_writing(tmp_path, key, value):
     d = tiny_experiment(tmp_path / "runs").to_dict()
